@@ -29,7 +29,6 @@ from .errors import (
     PoleAtInteger,
     PoleAtNonPositiveInteger,
     PoleOffRay,
-    ResidualPole,
     ToleranceNotMet,
 )
 from .identities import (
@@ -42,14 +41,6 @@ from .identities import (
 )
 from .quadrature import PoleSpec, RayIntegrand, integrate_ray, pv_integrate_ray
 from .result import EvalResult
-from .series_algebra import (
-    TruncatedLaurentSeries,
-    cot_pi_laurent,
-    differentiate,
-    exp_series,
-    finite_part_limit,
-    mul,
-)
 from .special_functions import (
     CotDerivPolynomial,
     bernoulli,

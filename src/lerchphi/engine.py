@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb, factorial
 
-from . import series_algebra as sa
 from .errors import (
     DomainError,
     NearIntegerShift,
@@ -26,11 +25,11 @@ from .errors import (
 from .quadrature import PoleSpec, RayIntegrand, integrate_ray, pv_integrate_ray
 from .result import EvalResult
 from .special_functions import (
-    _CompensatedSum,
-    _polylog_sum,
+    _cot_pi_laurent,
     _hurwitz_zeta_sum,
-    cot_pi,
-    cot_pi_derivative,
+    _polylog_sum,
+    _power_sum,
+    cot_pi_derivatives,
     dist_to_nearest_integer,
     require_off_nonpositive_poles,
 )
@@ -168,29 +167,9 @@ def phi_series(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult
         err += abs(z - 1.0) * 40.0
         return EvalResult(value, err, "series", terms)
 
-    acc = _CompensatedSum()
-    zp = 1.0 + 0j
-    m = 0
-    abs_a = abs(a)
-    min_m = int(2 * abs_a) + 4
+    min_m = int(2 * abs(a)) + 4
     cap = max(10_000 if on_circle else 300_000, min_m + 8)
-    while True:
-        acc.add(zp / (a + m) ** n)
-        zp *= z
-        m += 1
-        if m >= min_m:
-            # remaining tail starts at index m
-            gap = m - abs_a
-            if on_circle:
-                bound = (m - 1 - abs_a) ** (1 - n) / (n - 1)
-            else:
-                bound = r ** m / ((1.0 - r) * gap ** n)
-                if n >= 2:
-                    # sharper than the geometric bound when |z| -> 1
-                    bound = min(bound, (m - 1 - abs_a) ** (1 - n) / (n - 1))
-            if bound <= tol * max(1.0, abs(acc.total)) or m >= cap:
-                break
-    value = acc.total
+    value, bound, m = _power_sum(z, a, 1, n, 0, min_m, cap, tol, tol)
     result = EvalResult(value, bound, "series", m)
     if bound > tol * max(1.0, abs(value)):
         raise ToleranceNotMet(
@@ -230,11 +209,10 @@ def _leibniz_cot_sum(n: int, log_factor: complex, a: complex,
     """sum_j C(n-1, j) log_factor^(n-1-j) * d^j/da^j cot(pi a), with an
     optional constant added to the j = 0 derivative (for the -sgn(phi) i
     terms, whose higher derivatives vanish)."""
+    derivs = cot_pi_derivatives(n - 1, a)
+    derivs[0] += extra0
     total = 0j
-    for j in range(n):
-        deriv = cot_pi_derivative(j, a)
-        if j == 0:
-            deriv += extra0
+    for j, deriv in enumerate(derivs):
         total += comb(n - 1, j) * log_factor ** (n - 1 - j) * deriv
     return total
 
@@ -309,41 +287,19 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
     log_w = cmath.log(w)
     sgn = 1 if cmath.phase(log_w) > 0 else -1
     # Leibniz expansion of d^(n-1)/dt^(n-1) (w^t (sgn i - cot(pi t))) at t = -b
-    total = 0j
-    for j in range(n):
-        term = comb(n - 1, j) * log_w ** (n - 1 - j)
-        if j == 0:
-            total += term * (sgn * 1j - cot_pi(-b))
-        else:
-            total -= term * cot_pi_derivative(j, -b)
+    total = -_leibniz_cot_sum(n, log_w, -b, extra0=-sgn * 1j)
     trig = math.pi / factorial(n - 1) * _cpow(w, -b) * total
 
-    acc = _CompensatedSum()
     winv = 1.0 / w
-    rinv = abs(winv)
-    wp = 1.0 + 0j
-    m = 0
     abs_b = abs(b)
     # effectively on the circle: fixed-term fallback with an explicit
     # remainder bound, reported honestly (no useful convergence rate there)
-    cap = max(10_000 if rinv > 1.0 - 1e-5 else 300_000, int(abs_b) + 16)
-    bound = math.inf
-    while True:
-        m += 1
-        wp *= winv
-        acc.add(wp / (b - m) ** n)
-        if m > abs_b + 1:
-            bound = math.inf
-            if rinv < 1.0:
-                bound = rinv ** (m + 1) / ((1.0 - rinv) * (m + 1 - abs_b) ** n)
-            if n >= 2:
-                bound = min(bound, rinv ** (m + 1) * (m - abs_b) ** (1 - n) / (n - 1))
-            # absolute target: the trig term may cancel most of the sum
-            if bound <= 0.5 * tol:
-                break
-        if m >= cap:
-            break
-    value = trig - acc.total
+    cap = max(10_000 if abs(winv) > 1.0 - 1e-5 else 300_000, int(abs_b) + 16)
+    # absolute target: the trig term may cancel most of the sum
+    tail, bound, j = _power_sum(winv, b, -1, n, 1, int(abs_b) + 3, cap + 1,
+                                0.5 * tol, 0.0)
+    m = j - 1
+    value = trig - tail
     err = bound + 5e-16 * (n + 1) * abs(trig)
     result = EvalResult(value, err, "inverse", m)
     if bound > tol * max(1.0, abs(value)):
@@ -360,12 +316,16 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
 
 def _integer_shift_limit(n: int, log_w: complex) -> complex:
     """lim_{eps -> 0} { pi/(n-1)! d^(n-1)/d eps^(n-1) (-w^eps cot(pi eps))
-    - (-1)^n / eps^n }, extracted from truncated Laurent arithmetic."""
-    order = n + 2
-    prod = sa.mul(sa.exp_series(log_w, order), sa.cot_pi_laurent(order))
-    deriv = sa.differentiate(prod, n - 1).scale(-math.pi / factorial(n - 1))
-    pole = sa.monomial((-1.0) ** n, -n, deriv.order)
-    return sa.finite_part_limit(sa.sub(deriv, pole))
+    - (-1)^n / eps^n }: the eps^(n-1) coefficient of w^eps cot(pi eps) times
+    -pi, i.e. -pi sum_{k=0..n} L^k/k! c_(n-1-k) with L = log w and c_j the
+    Laurent coefficients of cot(pi eps).  The pole term cancels exactly."""
+    c = _cot_pi_laurent(n - 1)  # c[j + 1] = c_j
+    total = 0j
+    power = 1.0 + 0j  # L^k / k!
+    for k in range(n + 1):
+        total += power * c[n - k]
+        power = power * log_w / (k + 1)
+    return -math.pi * total
 
 
 def phi_integer_a(w: complex, n: int, N: int, tol: float = 1e-10) -> EvalResult:
@@ -387,18 +347,20 @@ def phi_integer_a(w: complex, n: int, N: int, tol: float = 1e-10) -> EvalResult:
     g = factorial(n - 1)
     finite_part = _integer_shift_limit(n, log_w)
     li_val, li_err, li_terms = _polylog_sum(n, 1.0 / w, 0.25 * tol)
-    ksum = _CompensatedSum()
-    for k in range(1, N):
-        ksum.add(w ** k / float(k) ** n)
+    # w^-N sum_{k=1}^{N-1} w^k / k^n, summed as sum_{j=1}^{N-1} w^-j / (N-j)^n
+    # so that no power of w overflows for large N
+    shift = 0j
+    if N > 1:
+        shift, _, _ = _power_sum(1.0 / w, float(N), -1, n, 1, N, N, 0.0, 0.0)
     inner = (
         finite_part
         + sgn * 1j * math.pi * log_w ** (n - 1) / g
-        - ksum.total
         - (-1.0) ** n * li_val
     )
     w_neg_n = w ** (-N)
-    value = w_neg_n * inner
-    err = abs(w_neg_n) * (li_err + 2e-15 * (abs(inner) + 1.0))
+    value = w_neg_n * inner - shift
+    err = (abs(w_neg_n) * (li_err + 2e-15 * (abs(inner) + 1.0))
+           + 2e-15 * abs(shift))
     result = EvalResult(value, err, "integer-a", li_terms + max(0, N - 1))
     if err > tol * max(1.0, abs(value)):
         raise ToleranceNotMet(

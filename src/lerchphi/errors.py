@@ -30,11 +30,6 @@ class PoleOffRay(DomainError):
     """Declared principal-value pole does not lie on the integration ray."""
 
 
-class ResidualPole(LerchError, ArithmeticError):
-    """Negative Laurent degrees survived a finite-part extraction that should
-    have cancelled them analytically; indicates a wrong pole subtraction."""
-
-
 class ToleranceNotMet(LerchError):
     """Requested tolerance could not be certified.
 

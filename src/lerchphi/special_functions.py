@@ -3,7 +3,8 @@
 Exact rational machinery (Bernoulli numbers, the polynomials giving the
 derivatives of cot(pi a)) lives next to the floating-point summations
 (polylogarithm, Hurwitz zeta, polygamma) so that the identity checks can
-pit independent computations against each other.
+pit independent computations against each other.  Every power sum, here
+and in the routes, runs through the one compensated kernel _power_sum.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "cot_deriv_polynomial",
     "cot_pi",
     "cot_pi_derivative",
+    "cot_pi_derivatives",
     "polylog",
     "hurwitz_zeta",
     "polygamma",
@@ -38,28 +40,14 @@ __all__ = [
 # Refusal radius around the poles a = 0, -1, -2, ... shared by every route.
 POLE_GUARD = 1e-8
 
+# At and above this |Im a| the derivatives of cot(pi a) come from the
+# q-expansion: the polynomial in c = cot(pi a) cancels near c = -+i, losing
+# relative accuracy like e^(2 pi |Im a|), and sin(pi a) overflows beyond
+# |Im a| ~ 226.  Both forms hold 1e-13 relative at the switch (see
+# tests/test_special_functions.py).
+_Q_EXPANSION_IM = 0.2
 
-class _CompensatedSum:
-    """Neumaier-compensated accumulation, applied per real/imag component."""
-
-    __slots__ = ("_sr", "_si", "_cr", "_ci")
-
-    def __init__(self) -> None:
-        self._sr = self._si = 0.0
-        self._cr = self._ci = 0.0
-
-    def add(self, z: complex) -> None:
-        z = complex(z)
-        sr, t = self._sr, self._sr + z.real
-        self._cr += (sr - t + z.real) if abs(sr) >= abs(z.real) else (z.real - t + sr)
-        self._sr = t
-        si, t = self._si, self._si + z.imag
-        self._ci += (si - t + z.imag) if abs(si) >= abs(z.imag) else (z.imag - t + si)
-        self._si = t
-
-    @property
-    def total(self) -> complex:
-        return complex(self._sr + self._cr, self._si + self._ci)
+_TWO_PI_I = 2j * math.pi
 
 
 def dist_to_nearest_integer(a: complex) -> float:
@@ -76,6 +64,72 @@ def require_off_nonpositive_poles(a: complex) -> None:
         raise PoleAtNonPositiveInteger(
             f"a = {a} is within {POLE_GUARD:g} of the pole at {k}"
         )
+
+
+# ---------------------------------------------------------------------------
+# Compensated power sums
+
+def _power_sum(x: complex, c: complex, sign: int, n: int, k: int,
+               k_check: int, cap: int, t_abs: float, t_rel: float):
+    """Neumaier-compensated sum_{i=k}^{j-1} x^i / (c + sign*i)^n.
+
+    The one summation kernel of the library: the series, the inverse-argument
+    tail, the polylogarithm and the fixed-count heads of the Hurwitz zeta and
+    integer-shift sums.  From next index j = k_check on, the remainder is
+    bounded by
+
+        rho^j * min(1 / ((1 - rho) g^n), (g - 1)^(1-n) / (n - 1)),
+
+    with rho = |x|, g = j - |c| (since |c + sign*i| >= i - |c|); the first
+    part needs rho < 1, the second n >= 2, and the bound is inf where
+    neither applies (or g <= 1).  Summation stops at the first such j whose
+    bound is <= t_abs or <= t_rel * |S|, or at j = cap.  Returns
+    (S, bound, j).
+    """
+    rho = abs(x)
+    abs_c = abs(c)
+    if rho < 1.0:
+        geo = 1.0 / (1.0 - rho)
+        rho_j = rho ** k
+    else:
+        rho, geo, rho_j = 1.0, 0.0, 1.0  # geo = 0: no geometric part
+    xp = x ** k
+    kf = float(sign * k)
+    sr = si = cr = ci = 0.0
+    hypot = math.hypot
+    while True:
+        t = xp / (c + kf) ** n
+        tr = t.real
+        ti = t.imag
+        u = sr + tr
+        if abs(sr) >= abs(tr):
+            cr += (sr - u) + tr
+        else:
+            cr += (tr - u) + sr
+        sr = u
+        u = si + ti
+        if abs(si) >= abs(ti):
+            ci += (si - u) + ti
+        else:
+            ci += (ti - u) + si
+        si = u
+        k += 1
+        kf += sign
+        xp *= x
+        rho_j *= rho
+        if k >= k_check:
+            g = k - abs_c
+            bound = math.inf
+            if g > 1.0:
+                # negative powers: they underflow where positive ones overflow
+                if geo:
+                    bound = rho_j * geo * g ** -n
+                if n >= 2:
+                    second = rho_j * (g - 1.0) ** (1 - n) / (n - 1)
+                    if second < bound:
+                        bound = second
+            if bound <= t_abs or bound <= t_rel * hypot(sr, si) or k >= cap:
+                return complex(sr + cr, si + ci), bound, k
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +169,28 @@ def tan_series_coeff(n: int) -> Fraction:
         raise ValueError("tangent-series index must be >= 1")
     p = 2 ** (2 * n)
     return Fraction(p * (p - 1)) * abs(bernoulli(2 * n)) / factorial(2 * n)
+
+
+# Laurent coefficients of cot(pi eps) about 0: _cot_laurent[j + 1] = c_j,
+# filled on first use.
+_cot_laurent: list[float] = []
+
+
+def _cot_pi_laurent(order: int) -> list[float]:
+    """[c_-1, c_0, ..., c_order] with cot(pi eps) = sum_j c_j eps^j:
+    c_-1 = 1/pi, the even c_j vanish and c_(2k-1) = -2^(2k) |B_2k| / (2k)!
+    pi^(2k-1).  The returned list is shared; do not modify it."""
+    while len(_cot_laurent) < order + 2:
+        d = len(_cot_laurent) - 1
+        if d == -1:
+            _cot_laurent.append(1.0 / math.pi)
+        elif d % 2 == 0:
+            _cot_laurent.append(0.0)
+        else:
+            k = (d + 1) // 2
+            frac = Fraction(2 ** (2 * k)) * abs(bernoulli(2 * k)) / factorial(2 * k)
+            _cot_laurent.append(-float(frac) * math.pi ** (2 * k - 1))
+    return _cot_laurent
 
 
 # ---------------------------------------------------------------------------
@@ -159,24 +235,78 @@ def cot_deriv_polynomial(j: int) -> CotDerivPolynomial:
     return _cot_poly_cache[j]
 
 
+# Rows of m! S(j, m), the coefficients of sum_{k>=1} k^j q^k as a polynomial
+# in u = q / (1 - q); row j + 1 follows from u (1 + u) d/du of row j.
+_q_rows: list[tuple[int, ...]] = [(0, 1)]
+
+
+def _q_row(j: int) -> tuple[int, ...]:
+    while len(_q_rows) <= j:
+        prev = _q_rows[-1]
+        nxt = [0] * (len(prev) + 1)
+        for m in range(1, len(prev)):
+            nxt[m] += m * prev[m]
+            nxt[m + 1] += m * prev[m]
+        _q_rows.append(tuple(nxt))
+    return _q_rows[j]
+
+
+def _cot_pi_q(jmax: int, ar: complex) -> list[complex]:
+    """d^j/da^j cot(pi a), j = 0..jmax, for reduced ar = a - round(Re a) off
+    the real axis, from the q-expansion
+
+        cot(pi a) = -i (1 + 2 sum_{k>=1} q^k),  q = e^(2 pi i a),  Im a > 0,
+
+    so d^j cot(pi a) = -2i (2 pi i)^j sum_k k^j q^k for j >= 1.  The sums are
+    taken in closed form, sum_m m! S(j, m) u^m with u = q / (1 - q): exact,
+    and free of the cancellation near c = -i.  Im a < 0 is the conjugate.
+    """
+    flip = ar.imag < 0
+    if flip:
+        ar = ar.conjugate()
+    q = cmath.exp(_TWO_PI_I * ar)
+    u = q / (1.0 - q)
+    out = [-1j * (1.0 + 2.0 * u)]
+    scale = -2j
+    for j in range(1, jmax + 1):
+        scale *= _TWO_PI_I
+        acc = 0j
+        for coef in reversed(_q_row(j)):
+            acc = acc * u + coef
+        out.append(scale * acc)
+    return [v.conjugate() for v in out] if flip else out
+
+
 def cot_pi(a: complex) -> complex:
     """cot(pi a) for complex a, with argument reduction a -> a - round(Re a)."""
     a = complex(a)
     ar = a - round(a.real)
+    if abs(ar.imag) >= _Q_EXPANSION_IM:
+        return _cot_pi_q(0, ar)[0]
     s = cmath.sin(math.pi * ar)
     if s == 0:
         raise PoleAtInteger(f"cot(pi a) pole at a = {a}")
     return cmath.cos(math.pi * ar) / s
 
 
-def cot_pi_derivative(j: int, a: complex) -> complex:
-    """Value of d^j/da^j cot(pi a)."""
-    if j < 0:
+def cot_pi_derivatives(jmax: int, a: complex) -> list[complex]:
+    """[d^j/da^j cot(pi a) for j = 0..jmax], in one pass: the polynomials in
+    c = cot(pi a) for |Im a| < _Q_EXPANSION_IM, the q-expansion above."""
+    if jmax < 0:
         raise ValueError("derivative order must be >= 0")
     a = complex(a)
     if dist_to_nearest_integer(a) <= 1e-12:
         raise PoleAtInteger(f"cot(pi a) derivative requested at a = {a} (integer pole)")
-    return cot_deriv_polynomial(j).evaluate(cot_pi(a))
+    ar = a - round(a.real)
+    if abs(ar.imag) >= _Q_EXPANSION_IM:
+        return _cot_pi_q(jmax, ar)
+    c = cot_pi(a)
+    return [cot_deriv_polynomial(j).evaluate(c) for j in range(jmax + 1)]
+
+
+def cot_pi_derivative(j: int, a: complex) -> complex:
+    """Value of d^j/da^j cot(pi a)."""
+    return cot_pi_derivatives(j, a)[j]
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +320,11 @@ def _polylog_sum(n: int, x: complex, tol: float, max_terms: int = 300_000):
     returned bound can exceed tol (callers report it honestly).
     """
     x = complex(x)
-    r = abs(x)
     if n == 1:
         return -cmath.log(1.0 - x), 4e-16 * abs(cmath.log(1.0 - x)) + 1e-300, 1
-    acc = _CompensatedSum()
-    xp = 1.0 + 0j
-    k = 0
-    circle_cap = 10_000
-    while True:
-        k += 1
-        xp *= x
-        acc.add(xp / float(k) ** n)
-        if r < 1.0:
-            bound = r ** (k + 1) / ((k + 1) ** n * (1.0 - r))
-            if bound <= tol * max(1.0, abs(acc.total)) or k >= max_terms:
-                return acc.total, bound, k
-        else:
-            bound = float(k) ** (1 - n) / (n - 1)
-            if bound <= tol * max(1.0, abs(acc.total)) or k >= circle_cap:
-                return acc.total, bound, k
+    cap = max_terms if abs(x) < 1.0 else 10_000
+    value, bound, j = _power_sum(x, 0.0, 1, n, 1, 2, cap + 1, tol, tol)
+    return value, bound, j - 1
 
 
 def polylog(n: int, x: complex, tol: float = 1e-12) -> complex:
@@ -247,9 +363,7 @@ def _hurwitz_zeta_sum(n: int, a: complex):
     a = complex(a)
     require_off_nonpositive_poles(a)
     m_terms = max(20, math.ceil(abs(a)) + 20)
-    acc = _CompensatedSum()
-    for m in range(m_terms):
-        acc.add(1.0 / (a + m) ** n)
+    head, _, _ = _power_sum(1.0, a, 1, n, 0, m_terms, m_terms, 0.0, 0.0)
     x = a + m_terms
     xinv = 1.0 / x
     tail = x ** (1 - n) / (n - 1) + 0.5 * x ** (-n)
@@ -262,7 +376,7 @@ def _hurwitz_zeta_sum(n: int, a: complex):
         power *= xinv * xinv
     rising *= (n + 7) * (n + 8)
     err = abs(float(bernoulli(10)) / factorial(10) * rising * power)
-    return acc.total + tail, err + 1e-15 * abs(acc.total), m_terms
+    return head + tail, err + 1e-15 * abs(head), m_terms
 
 
 def hurwitz_zeta(n: int, a: complex) -> complex:

@@ -221,6 +221,17 @@ class TestPhiInverse:
             ref = mp_ref(w, n, b)
             assert abs(res.value - ref) <= 1e-10 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("b", [0.3 + 300j, 0.3 - 300j, 0.3 + 30j, -1.7 + 30j])
+    def test_large_imaginary_shift(self, b):
+        # sin(pi b) overflows double beyond |Im b| ~ 226.  At these points
+        # the trigonometric term is below e^-150, so mpmath's continuation
+        # agrees with the principal branch
+        w = 5 * cmath.exp(0.7j)
+        res = phi(w, 2, b)
+        assert res.method == "inverse"
+        ref = mp_ref(w, 2, b)
+        assert abs(res.value - ref) <= 1e-10 * max(1.0, abs(ref))
+
 
 class TestPhiIntegerShift:
     def test_paper_spot_value(self):
@@ -249,6 +260,27 @@ class TestPhiIntegerShift:
                 val = (val - (bign - 1) ** (-n)) / w
                 got = phi_integer_a(w, n, bign, 1e-12).value
                 assert abs(got - val) < 1e-10
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_generic_order_against_integral_route(self, n):
+        # the explicit table stops at n = 5; the finite-part convolution
+        # serves every n
+        for w in (-2.0, 2j, 3 + 4j):
+            for bign in (1, 2, 3):
+                got = phi_integer_a(w, n, bign, 1e-12).value
+                ref = phi_integral(w, n, float(bign), 1e-12).value
+                assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("bign", [60, 240, 300])
+    def test_large_shift_against_integral_route(self, bign):
+        # w^k overflows double for k ~ 240 at |w| = 20; the shift sum runs
+        # in powers of 1/w instead
+        for w, n in [(20j, 2), (-3.0 + 1j, 3), (1.05 * cmath.exp(0.3j), 1)]:
+            res = phi_integer_a(w, n, bign)
+            ref = phi_integral(w, n, float(bign), 1e-12).value
+            assert abs(res.value - ref) <= 1e-10 * max(1.0, abs(ref))
+            assert res.err_estimate <= 1e-10 * max(1.0, abs(res.value))
+        assert phi(20j, 2, float(bign)).method == "integer-a"
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

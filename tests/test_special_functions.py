@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from math import comb
 
+import mpmath
 import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
@@ -15,10 +16,14 @@ from lerchphi.errors import (
     PoleAtNonPositiveInteger,
 )
 from lerchphi.special_functions import (
+    _Q_EXPANSION_IM,
+    _cot_pi_laurent,
+    _cot_pi_q,
     bernoulli,
     cot_deriv_polynomial,
     cot_pi,
     cot_pi_derivative,
+    cot_pi_derivatives,
     hurwitz_zeta,
     polygamma,
     polylog,
@@ -151,6 +156,78 @@ class TestCotPiDerivative:
 
     def test_argument_reduction_large_real_part(self):
         assert abs(cot_pi_derivative(1, 100.25) - cot_pi_derivative(1, 0.25)) < 1e-9
+
+    def test_large_imaginary_part_does_not_overflow(self):
+        # sin(pi a) overflows double beyond |Im a| ~ 226
+        assert cot_pi(0.3 + 300j) == -1j
+        assert cot_pi(0.3 - 300j) == 1j
+        assert cot_pi_derivatives(5, 0.3 + 300j)[1:] == [0j] * 5
+
+
+def _cot_derivatives_mp(jmax, a):
+    """d^j cot(pi a), j = 0..jmax, by mpmath differentiation; the precision
+    grows with |Im a| because the derivatives fall like e^(-2 pi |Im a|)."""
+    with mpmath.workdps(30 + int(3 * abs(a.imag))):
+        f = lambda t: mpmath.cot(mpmath.pi * t)  # noqa: E731
+        return [complex(d) for d in mpmath.diffs(f, mpmath.mpc(a), jmax)]
+
+
+_COT_GRID = [complex(x, y)
+             for y in (0.05, 0.1, 0.15, 0.199, 0.2, 0.25, 0.5, 0.93, 2.0, 5.0, 20.0)
+             for x in (-0.77, 0.1, 0.3, 0.45, 0.5, 3.2)]
+_COT_GRID += [0.3 + 225j, -0.77 + 300j]
+
+
+def _max_rel_err(got, ref):
+    return max(abs(g - r) / abs(r) if r else abs(g) for g, r in zip(got, ref))
+
+
+def test_cot_derivatives_against_mpmath():
+    # j <= 7, both half planes (the reference for Im a < 0 by conjugation:
+    # cot is real on the real axis)
+    for a in _COT_GRID:
+        ref = _cot_derivatives_mp(7, a)
+        assert _max_rel_err(cot_pi_derivatives(7, a), ref) <= 1e-13, a
+        conj = [r.conjugate() for r in ref]
+        assert _max_rel_err(cot_pi_derivatives(7, a.conjugate()), conj) <= 1e-13, a
+
+
+def test_q_expansion_threshold():
+    # the polynomial in cot(pi a) loses relative accuracy like
+    # e^(2 pi |Im a|): at |Im a| = 2 it is off by ~1e-9, while the
+    # q-expansion holds from the switch upward; both hold at the switch
+    def poly(a):
+        c = cot_pi(a)
+        return [cot_deriv_polynomial(j).evaluate(c) for j in range(8)]
+
+    for x in (-0.77, 0.1, 0.3, 0.45):
+        at_switch = complex(x, _Q_EXPANSION_IM)
+        ref = _cot_derivatives_mp(7, at_switch)
+        assert _max_rel_err(poly(at_switch), ref) <= 1e-13
+        assert _max_rel_err(_cot_pi_q(7, at_switch), ref) <= 1e-13
+        far = complex(x, 2.0)
+        assert _max_rel_err(poly(far), _cot_derivatives_mp(7, far)) > 1e-11
+
+
+class TestCotPiLaurent:
+    # c[j + 1] = c_j, the coefficient of eps^j in cot(pi eps)
+    def test_pole_coefficient(self):
+        assert _cot_pi_laurent(-1)[0] == 1 / math.pi
+
+    def test_odd_coefficients(self):
+        c = _cot_pi_laurent(3)
+        assert abs(c[2] - (-math.pi / 3)) < 1e-15
+        assert abs(c[4] - (-math.pi**3 / 45)) < 1e-14
+
+    def test_even_coefficients_vanish_exactly(self):
+        c = _cot_pi_laurent(10)
+        assert all(c[d + 1] == 0 for d in range(0, 11, 2))
+
+    @pytest.mark.parametrize("eps", [1e-3, 5e-3, 0.2])
+    def test_pointwise_against_cot(self, eps):
+        c = _cot_pi_laurent(40)
+        series = sum(cj * eps ** (j - 1) for j, cj in enumerate(c))
+        assert abs(series - 1 / math.tan(math.pi * eps)) < 1e-12 / eps
 
 
 @given(
