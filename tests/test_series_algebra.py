@@ -1,24 +1,165 @@
-"""Tests for truncated Laurent series arithmetic and the finite-part limit."""
+"""Truncated Laurent-series arithmetic, kept as a reference for the
+integer-shift finite part.
+
+The library takes the finite part of the integer-shift route in closed form,
+-pi sum_k L^k/k! c_(n-1-k) (``engine._integer_shift_limit``).  This file
+builds the same limit the long way: Laurent windows of w^eps and cot(pi eps),
+their product, n - 1 derivatives, the pole subtraction and a check that every
+negative degree cancelled.  The arithmetic is tested on its own first, then
+the two derivations are compared for n = 1..10.
+"""
+
+from __future__ import annotations
 
 import cmath
 import math
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lerchphi.errors import ResidualPole
-from lerchphi.series_algebra import (
-    TruncatedLaurentSeries,
-    add,
-    cot_pi_laurent,
-    differentiate,
-    exp_series,
-    finite_part_limit,
-    monomial,
-    mul,
-    sub,
-)
+from lerchphi.engine import _integer_shift_limit
+from lerchphi.special_functions import bernoulli
+
+# Cancellation is exact analytically; residues above this relative level
+# indicate a wrong pole subtraction, not floating-point noise.
+POLE_CANCEL_RTOL = 1e-12
+
+
+class ResidualPole(ArithmeticError):
+    """Negative Laurent degrees survived a finite-part extraction."""
+
+
+@dataclass(frozen=True)
+class TruncatedLaurentSeries:
+    """Coefficient window [min_degree, order] in eps: degrees below
+    min_degree are exactly zero, degrees above order are unknown."""
+
+    min_degree: int
+    coeffs: tuple  # coeffs[k] multiplies eps**(min_degree + k)
+
+    def __post_init__(self):
+        if not self.coeffs:
+            raise ValueError("series needs at least one retained coefficient")
+        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+
+    @property
+    def order(self) -> int:
+        return self.min_degree + len(self.coeffs) - 1
+
+    def coefficient(self, degree: int) -> complex:
+        if degree < self.min_degree:
+            return 0j
+        if degree > self.order:
+            raise IndexError(f"degree {degree} above retained order {self.order}")
+        return self.coeffs[degree - self.min_degree]
+
+    def eval_at(self, eps: complex) -> complex:
+        return sum(
+            c * eps ** (self.min_degree + k) for k, c in enumerate(self.coeffs)
+        )
+
+    def scale(self, factor: complex) -> "TruncatedLaurentSeries":
+        return TruncatedLaurentSeries(
+            self.min_degree, tuple(factor * c for c in self.coeffs)
+        )
+
+
+def exp_series(c: complex, order: int) -> TruncatedLaurentSeries:
+    """Taylor window of exp(c eps): coefficient of eps^k is c^k / k!."""
+    coeffs = [1.0 + 0j]
+    for k in range(1, order + 1):
+        coeffs.append(coeffs[-1] * c / k)
+    return TruncatedLaurentSeries(0, tuple(coeffs))
+
+
+def cot_pi_laurent(order: int) -> TruncatedLaurentSeries:
+    """Laurent window of cot(pi eps) about 0, built from the exact Bernoulli
+    numbers rather than the library's float table."""
+    coeffs = [1.0 / math.pi]
+    for d in range(order + 1):
+        if d % 2 == 0:
+            coeffs.append(0.0)
+        else:
+            k = (d + 1) // 2  # d = 2k - 1
+            frac = (Fraction(2 ** (2 * k)) * abs(bernoulli(2 * k))
+                    / math.factorial(2 * k))
+            coeffs.append(-float(frac) * math.pi ** (2 * k - 1))
+    return TruncatedLaurentSeries(-1, tuple(coeffs))
+
+
+def monomial(coeff: complex, degree: int, order: int) -> TruncatedLaurentSeries:
+    """coeff * eps^degree, zero-padded up to the given (exactly known) order."""
+    return TruncatedLaurentSeries(degree, (coeff,) + (0j,) * (order - degree))
+
+
+def mul(a: TruncatedLaurentSeries,
+        b: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
+    """Cauchy product on the common reliable window; each coefficient is an
+    fsum of the cross products, so mul commutes bitwise."""
+    min_degree = a.min_degree + b.min_degree
+    order = min(a.order + b.min_degree, b.order + a.min_degree)
+    coeffs = []
+    for base in range(order - min_degree + 1):
+        terms = [
+            a.coeffs[i] * b.coeffs[base - i]
+            for i in range(max(0, base - len(b.coeffs) + 1),
+                           min(len(a.coeffs), base + 1))
+        ]
+        coeffs.append(complex(math.fsum(t.real for t in terms),
+                              math.fsum(t.imag for t in terms)))
+    return TruncatedLaurentSeries(min_degree, tuple(coeffs))
+
+
+def add(a: TruncatedLaurentSeries,
+        b: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
+    min_degree = min(a.min_degree, b.min_degree)
+    order = min(a.order, b.order)
+    return TruncatedLaurentSeries(
+        min_degree,
+        tuple(a.coefficient(d) + b.coefficient(d)
+              for d in range(min_degree, order + 1)),
+    )
+
+
+def sub(a: TruncatedLaurentSeries,
+        b: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
+    return add(a, b.scale(-1.0))
+
+
+def differentiate(s: TruncatedLaurentSeries, j: int = 1) -> TruncatedLaurentSeries:
+    """j-fold d/d eps; min_degree and order both drop by j."""
+    for _ in range(j):
+        s = TruncatedLaurentSeries(
+            s.min_degree - 1,
+            tuple((s.min_degree + k) * c for k, c in enumerate(s.coeffs)),
+        )
+    return s
+
+
+def finite_part_limit(s: TruncatedLaurentSeries) -> complex:
+    """The eps^0 coefficient, after checking that every negative degree has
+    cancelled to POLE_CANCEL_RTOL relative."""
+    if not (s.min_degree <= 0 <= s.order):
+        raise ValueError("series window must contain degree 0")
+    scale = max(abs(c) for c in s.coeffs)
+    for d in range(s.min_degree, 0):
+        if abs(s.coefficient(d)) > POLE_CANCEL_RTOL * scale:
+            raise ResidualPole(f"eps^{d} survives the finite-part limit")
+    return s.coefficient(0)
+
+
+def integer_shift_limit_by_series(n: int, w: complex) -> complex:
+    """lim_{eps -> 0} { pi/(n-1)! d^(n-1)(-w^eps cot(pi eps)) - (-1)^n/eps^n }
+    by series arithmetic."""
+    order = n + 2
+    prod = mul(exp_series(cmath.log(w), order), cot_pi_laurent(order))
+    deriv = differentiate(prod, n - 1).scale(-math.pi / math.factorial(n - 1))
+    return finite_part_limit(
+        sub(deriv, monomial((-1.0) ** n, -n, deriv.order))
+    )
 
 
 def series(min_degree, *coeffs):
@@ -220,3 +361,11 @@ def test_mul_associates_on_common_window(f, g, h):
     for d in range(max(lhs.min_degree, rhs.min_degree),
                    min(lhs.order, rhs.order) + 1):
         assert abs(lhs.coefficient(d) - rhs.coefficient(d)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("w", [2j, -3.0 + 0.5j, 1.5 - 4j, -1.01 - 0.01j])
+def test_closed_form_matches_series_derivation(n, w):
+    want = integer_shift_limit_by_series(n, w)
+    got = _integer_shift_limit(n, cmath.log(w))
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
