@@ -14,7 +14,7 @@ from .engine import (
     extended_polylog,
     phi,
     phi_integer_a,
-    phi_integer_a_explicit,
+    phi_integer_shift,
     phi_integral,
     phi_inverse,
     phi_pv,

@@ -88,34 +88,6 @@ def _complex_json(z: complex):
     return {"re": z.real, "im": z.imag}
 
 
-def _evaluate(method: str, z: complex, n: int, a: complex, tol: float) -> EvalResult:
-    if method == "auto":
-        return engine.phi(z, n, a, tol)
-    if method == "series":
-        return engine.phi_series(z, n, a, tol)
-    if method == "integral":
-        return engine.phi_integral(z, n, a, tol)
-    if method == "pv":
-        return engine.phi_pv(z, n, a, tol)
-    if method == "inverse":
-        return engine.phi_inverse(z, n, a, tol)
-    if method == "integer-a":
-        k = round(a.real)
-        if k < 1 or abs(a - k) > 1e-8:
-            raise DomainError(
-                f"method integer-a needs a at a positive integer, got a = {a}"
-            )
-        return engine.phi_integer_a(z, n, k, tol)
-    raise DomainError(f"unknown method {method!r}")
-
-
-def _degraded(res: EvalResult) -> EvalResult:
-    if res.method.endswith("(degraded)"):
-        return res
-    return EvalResult(res.value, res.err_estimate, res.method + " (degraded)",
-                      res.terms_or_nodes)
-
-
 # ---------------------------------------------------------------------------
 # eval
 
@@ -143,16 +115,14 @@ def _emit_eval(res: EvalResult, fmt: str, out) -> None:
 
 
 def _cmd_eval(args) -> int:
+    route = engine.phi if args.method == "auto" else engine.ROUTES[args.method]
     try:
-        res = _evaluate(args.method, args.z, args.n, args.a, args.tol)
+        res = route(args.z, args.n, args.a, args.tol)
     except ToleranceNotMet as exc:
-        if exc.result is None:
+        res = engine.degraded(exc)
+        if res is None:
             print(f"domain error: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
-        res = _degraded(exc.result)
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     _emit_eval(res, args.format, sys.stdout)
     return EXIT_OK
 
@@ -162,13 +132,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     rows = []
-    for name in ("series", "integral", "pv", "inverse", "integer-a"):
+    for name, route in engine.ROUTES.items():
         try:
-            res = _evaluate(name, args.z, args.n, args.a, args.tol)
+            res = route(args.z, args.n, args.a, args.tol)
         except ToleranceNotMet as exc:
-            if exc.result is None:
+            res = engine.degraded(exc)
+            if res is None:
                 continue
-            res = _degraded(exc.result)
         except DomainError:
             continue
         rows.append((name, res))
@@ -374,7 +344,7 @@ def _cmd_sweep(args) -> int:
         try:
             res = engine.phi(z, args.n, a, args.tol)
         except ToleranceNotMet as exc:
-            res = _degraded(exc.result) if exc.result is not None else None
+            res = engine.degraded(exc)
             if res is None:
                 row.update(value_re=None, value_im=None, err=None,
                            method=f"error: {exc}", terms_or_nodes=None)
@@ -446,7 +416,7 @@ def _build_parser(default_tol: float) -> _Parser:
     add_point_flags(p_eval)
     p_eval.add_argument(
         "--method", default="auto",
-        choices=["auto", "series", "integral", "pv", "inverse", "integer-a"],
+        choices=("auto", *engine.ROUTES),
     )
     p_eval.add_argument("--format", default="plain",
                         choices=["plain", "json", "csv"])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from math import comb, factorial
 
@@ -45,7 +45,9 @@ __all__ = [
     "phi_pv",
     "phi_inverse",
     "phi_integer_a",
-    "phi_integer_a_explicit",
+    "phi_integer_shift",
+    "ROUTES",
+    "degraded",
     "symmetry_transform",
     "extended_polylog",
 ]
@@ -110,6 +112,17 @@ def _near_positive_integer(a: complex):
     if k >= 1 and abs(a - k) < _INTEGER_SHIFT_GUARD:
         return k
     return None
+
+
+def _exterior_log(w: complex, route: str):
+    """(log w, sgn(phi)) for the routes in powers of 1/w."""
+    if abs(w) <= 1.0 - 1e-12 or _on_positive_real_axis(w):
+        raise DomainError(
+            f"{route} needs |w| > 1 off the positive real axis, where "
+            f"sgn(phi) = 0; got w = {w}"
+        )
+    log_w = cmath.log(w)
+    return log_w, 1 if cmath.phase(log_w) > 0 else -1
 
 
 def _cpow(base: complex, expo: complex) -> complex:
@@ -268,14 +281,7 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
     """
     w, b = complex(w), complex(b)
     _validate_order(n)
-    r = abs(w)
-    if r <= 1.0 - 1e-12:
-        raise DomainError(f"inverse-argument expansion needs |w| > 1, got {r:.6g}")
-    if _on_positive_real_axis(w):
-        raise DomainError(
-            "inverse-argument expansion undefined on the positive real axis "
-            "(sgn(phi) = 0)"
-        )
+    log_w, sgn = _exterior_log(w, "inverse-argument expansion")
     k = _near_positive_integer(b)
     if k is not None:
         raise NearIntegerShift(
@@ -284,8 +290,6 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
         )
     require_off_nonpositive_poles(b)
 
-    log_w = cmath.log(w)
-    sgn = 1 if cmath.phase(log_w) > 0 else -1
     # Leibniz expansion of d^(n-1)/dt^(n-1) (w^t (sgn i - cot(pi t))) at t = -b
     total = -_leibniz_cot_sum(n, log_w, -b, extra0=-sgn * 1j)
     trig = math.pi / factorial(n - 1) * _cpow(w, -b) * total
@@ -334,16 +338,7 @@ def phi_integer_a(w: complex, n: int, N: int, tol: float = 1e-10) -> EvalResult:
     _validate_order(n)
     if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         raise DomainError(f"shift must be a positive integer, got {N!r}")
-    r = abs(w)
-    if r <= 1.0 - 1e-12:
-        raise DomainError(f"integer-shift route needs |w| > 1, got {r:.6g}")
-    if _on_positive_real_axis(w):
-        raise DomainError(
-            "integer-shift route undefined on the positive real axis "
-            "(sgn(phi) = 0)"
-        )
-    log_w = cmath.log(w)
-    sgn = 1 if cmath.phase(log_w) > 0 else -1
+    log_w, sgn = _exterior_log(w, "integer-shift route")
     g = factorial(n - 1)
     finite_part = _integer_shift_limit(n, log_w)
     li_val, li_err, li_terms = _polylog_sum(n, 1.0 / w, 0.25 * tol)
@@ -369,34 +364,22 @@ def phi_integer_a(w: complex, n: int, N: int, tol: float = 1e-10) -> EvalResult:
     return result
 
 
-_PI2 = math.pi ** 2
-_PI4 = math.pi ** 4
-
-
-def phi_integer_a_explicit(w: complex, n: int, N: int) -> complex:
-    """Closed forms of Phi(w, n, N) for n <= 5; cross-validation table for
-    the generic Laurent finite-part route."""
-    w = complex(w)
-    if not 1 <= n <= 5:
-        raise DomainError("explicit table covers n = 1..5 only")
-    lw = cmath.log(w)
-    sgn = 1 if cmath.phase(lw) > 0 else -1
-    limit_term = {
-        1: -lw,
-        2: _PI2 / 3.0 - lw ** 2 / 2.0,
-        3: _PI2 / 3.0 * lw - lw ** 3 / 6.0,
-        4: _PI4 / 45.0 + _PI2 / 6.0 * lw ** 2 - lw ** 4 / 24.0,
-        5: _PI4 / 45.0 * lw + _PI2 / 18.0 * lw ** 3 - lw ** 5 / 120.0,
-    }[n]
-    ksum = sum(w ** k / float(k) ** n for k in range(1, N))
-    li_val, _, _ = _polylog_sum(n, 1.0 / w, 1e-14)
-    inner = (
-        limit_term
-        + sgn * 1j * math.pi * lw ** (n - 1) / factorial(n - 1)
-        - ksum
-        - (-1.0) ** n * li_val
-    )
-    return w ** (-N) * inner
+def phi_integer_shift(w: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
+    """Phi(w, n, a) for a within 1e-8 of a positive integer N: the
+    integer-shift route at N, with the substitution slack for a != N added
+    to the error estimate."""
+    a = complex(a)
+    k = _near_positive_integer(a)
+    if k is None:
+        raise DomainError(
+            f"integer-shift route needs a within {_INTEGER_SHIFT_GUARD:g} of "
+            f"a positive integer, got a = {a}"
+        )
+    res = phi_integer_a(w, n, k, tol)
+    if a != k:
+        slack = abs(a - k) * (n + 1) * (1.0 + abs(res.value)) * 4.0
+        res = replace(res, err_estimate=res.err_estimate + slack)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -480,21 +463,31 @@ def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     try:
         return _exterior(z, n, a, tol) if r >= 1.0 else phi_series(z, n, a, tol)
     except ToleranceNotMet as exc:
-        if exc.result is None:
+        res = degraded(exc)
+        if res is None:
             raise
-        res = exc.result
-        return EvalResult(res.value, res.err_estimate,
-                          res.method + " (degraded)", res.terms_or_nodes)
+        return res
 
 
 def _exterior(z: complex, n: int, a: complex, tol: float) -> EvalResult:
-    k = _near_positive_integer(a)
-    if k is not None:
-        res = phi_integer_a(z, n, k, tol)
-        if abs(a - k) > 0:
-            # substitution slack for a rounded shift
-            slack = abs(a - k) * (n + 1) * (1.0 + abs(res.value)) * 4.0
-            res = EvalResult(res.value, res.err_estimate + slack, res.method,
-                             res.terms_or_nodes)
-        return res
-    return phi_inverse(z, n, a, tol)
+    if _near_positive_integer(a) is None:
+        return phi_inverse(z, n, a, tol)
+    return phi_integer_shift(z, n, a, tol)
+
+
+def degraded(exc: ToleranceNotMet):
+    """The result exc carries, tagged "(degraded)"; None if it has none."""
+    if exc.result is None:
+        return None
+    return replace(exc.result, method=exc.result.method + " (degraded)")
+
+
+# Every route by name, in the order compare reports them.  Each entry looks
+# its function up when called, so a replaced module attribute takes effect.
+ROUTES = {
+    "series": lambda z, n, a, tol: phi_series(z, n, a, tol),
+    "integral": lambda z, n, a, tol: phi_integral(z, n, a, tol),
+    "pv": lambda z, n, a, tol: phi_pv(z, n, a, tol),
+    "inverse": lambda z, n, a, tol: phi_inverse(z, n, a, tol),
+    "integer-a": lambda z, n, a, tol: phi_integer_shift(z, n, a, tol),
+}

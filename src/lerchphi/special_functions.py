@@ -98,7 +98,11 @@ def _power_sum(x: complex, c: complex, sign: int, n: int, k: int,
     sr = si = cr = ci = 0.0
     hypot = math.hypot
     while True:
-        t = xp / (c + kf) ** n
+        try:
+            t = xp / (c + kf) ** n
+        except OverflowError:
+            # not (c + k) ** -n: that is NaN for complex c and n <= 100
+            t = xp * (1.0 / (c + kf)) ** n
         tr = t.real
         ti = t.imag
         u = sr + tr

@@ -13,7 +13,6 @@ import time
 from lerchphi import cli
 from lerchphi.engine import (
     phi_integer_a,
-    phi_integer_a_explicit,
     phi_integral,
     phi_inverse,
     phi_pv,
@@ -33,6 +32,7 @@ from lerchphi.special_functions import (
     hurwitz_zeta,
     tan_series_coeff,
 )
+from oracles import phi_integer_a_explicit
 
 
 def report(criterion: str, failures: list) -> None:

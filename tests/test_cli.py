@@ -3,6 +3,9 @@
 import json
 import math
 
+import mpmath as mp
+import pytest
+
 from lerchphi import cli, engine
 from lerchphi.result import EvalResult
 
@@ -140,6 +143,67 @@ class TestCompare:
             capsys, "compare", "--z", "3,0", "--n", "1", "--a=-0.5,0"
         )
         assert code == 2
+
+
+def mp_lerchphi(z, n, a):
+    with mp.workdps(30):
+        return complex(mp.lerchphi(z, n, a))
+
+
+def point_flags(z, n, a):
+    return (f"--z={z.real},{z.imag}", "--n", str(n),
+            f"--a={a.real},{a.imag}")
+
+
+# a point each route admits
+ROUTE_POINTS = {
+    "series": (0.3 + 0.4j, 2, 0.7 + 0j),
+    "integral": (0.5j, 3, 0.4 + 0.2j),
+    "pv": (0.5 + 0j, 1, 0.5 + 0j),
+    "inverse": (2j, 2, 0.25 + 0j),
+    "integer-a": (2j, 2, 2 + 0j),
+}
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("name", list(engine.ROUTES))
+    def test_forced_route_agrees_with_mpmath(self, capsys, name):
+        z, n, a = ROUTE_POINTS[name]
+        code, out, _ = run(capsys, "eval", *point_flags(z, n, a),
+                           "--method", name, "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["method"] == name
+        ref = mp_lerchphi(z, n, a)
+        value = complex(rec["value"]["re"], rec["value"]["im"])
+        assert abs(value - ref) <= rec["err_estimate"] <= 1e-9 * max(1, abs(ref))
+
+    @pytest.mark.parametrize("argv, methods", [
+        (("--z", "0.5,0", "--n", "1", "--a", "0.5,0"),
+         ["series", "integral", "pv"]),
+        (("--z", "0,2", "--n", "2", "--a", "2,0"), ["integral", "integer-a"]),
+    ])
+    def test_compare_lists_routes_in_table_order(self, capsys, argv, methods):
+        code, out, _ = run(capsys, "compare", *argv, "--format", "json")
+        assert code == 0
+        names = [row["method"] for row in json.loads(out)["methods"]]
+        assert names == methods
+
+    # a shift 5e-9 off the integer 2: the forced integer-shift route must
+    # carry the slack of substituting a = 2
+    NEAR_INTEGER = ("--z", "0,2", "--n", "2", "--a", "2.000000005,0")
+
+    def test_forced_integer_shift_estimate_covers_error(self, capsys):
+        code, out, _ = run(capsys, "eval", *self.NEAR_INTEGER,
+                           "--method", "integer-a", "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        value = complex(rec["value"]["re"], rec["value"]["im"])
+        assert abs(value - mp_lerchphi(2j, 2, 2.000000005)) <= rec["err_estimate"]
+
+    def test_compare_near_integer_shift(self, capsys):
+        code, _, _ = run(capsys, "compare", *self.NEAR_INTEGER)
+        assert code == 0
 
 
 class TestCheck:

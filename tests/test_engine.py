@@ -13,7 +13,6 @@ from lerchphi.engine import (
     extended_polylog,
     phi,
     phi_integer_a,
-    phi_integer_a_explicit,
     phi_integral,
     phi_inverse,
     phi_pv,
@@ -27,6 +26,7 @@ from lerchphi.errors import (
     PoleAtNonPositiveInteger,
 )
 from lerchphi.special_functions import polylog
+from oracles import phi_integer_a_explicit
 
 mp.mp.dps = 30
 

@@ -12,8 +12,8 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lerchphi.engine import phi_integer_a, phi_inverse, phi_series
-from lerchphi.special_functions import _polylog_sum, _power_sum
+from lerchphi.engine import phi, phi_integer_a, phi_inverse, phi_series
+from lerchphi.special_functions import _polylog_sum, _power_sum, hurwitz_zeta
 
 
 def true_remainder(x, c, sign, n, j):
@@ -92,3 +92,23 @@ def test_grid_work(n, r):
     assert phi_series(z(r), n, A).terms_or_nodes <= series
     assert phi_inverse(z(1 / r), n, A).terms_or_nodes <= inverse
     assert _polylog_sum(n, z(r), 1e-10)[2] <= polylog
+
+
+def test_hurwitz_zeta_large_order():
+    # (0.5 + k)^300 leaves the double range from k = 20 on
+    with mp.workdps(30):
+        want = complex(mp.zeta(300, 0.5))
+    assert abs(hurwitz_zeta(300, 0.5) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("a", [2000.0, 1203.0, 1000.5, 1000.5 + 3j])
+def test_series_terms_beyond_double_range(a):
+    # |a + k|^100 overflows for |a + k| > 1202.3; for complex a,
+    # (a + k) ** -100 would be NaN there
+    with mp.workdps(30):
+        want = complex(mp.fsum(mp.mpf(0.5) ** m / (mp.mpc(a) + m) ** 100
+                               for m in range(400)))
+    res = phi(0.5, 100, a)
+    assert res.method == "series"
+    # Phi(0.5, 100, 2000) ~ 1.5e-330 lies below the smallest double
+    assert abs(res.value - want) <= 1e-14 * abs(want) + 1e-323
