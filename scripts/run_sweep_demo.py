@@ -2,7 +2,7 @@
 """Demo driver: sweep a ring outside the unit circle, then cross-validate a
 few rows against the integral representation.
 
-Writes ring_sweep.csv next to this script and prints the spot checks.
+Writes ring_sweep.csv to the current directory and prints the spot checks.
 """
 
 import csv
@@ -14,7 +14,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from lerchphi import phi_integral  # noqa: E402
 from lerchphi.cli import main  # noqa: E402
 
-OUT = pathlib.Path(__file__).resolve().parent / "ring_sweep.csv"
+OUT = pathlib.Path("ring_sweep.csv")
 
 
 def run() -> int:

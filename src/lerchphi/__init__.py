@@ -14,7 +14,6 @@ from .engine import (
     extended_polylog,
     phi,
     phi_integer_a,
-    phi_integer_shift,
     phi_integral,
     phi_inverse,
     phi_pv,

@@ -19,7 +19,7 @@ import random
 import sys
 
 from . import engine, identities
-from .errors import DomainError, LerchError, ToleranceNotMet
+from .errors import DomainError, LerchError
 from .result import EvalResult
 
 EXIT_OK = 0
@@ -116,13 +116,7 @@ def _emit_eval(res: EvalResult, fmt: str, out) -> None:
 
 def _cmd_eval(args) -> int:
     route = engine.phi if args.method == "auto" else engine.ROUTES[args.method]
-    try:
-        res = route(args.z, args.n, args.a, args.tol)
-    except ToleranceNotMet as exc:
-        res = engine.degraded(exc)
-        if res is None:
-            print(f"domain error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
+    res = engine.degrade(route, args.z, args.n, args.a, args.tol)
     _emit_eval(res, args.format, sys.stdout)
     return EXIT_OK
 
@@ -134,11 +128,7 @@ def _cmd_compare(args) -> int:
     rows = []
     for name, route in engine.ROUTES.items():
         try:
-            res = route(args.z, args.n, args.a, args.tol)
-        except ToleranceNotMet as exc:
-            res = engine.degraded(exc)
-            if res is None:
-                continue
+            res = engine.degrade(route, args.z, args.n, args.a, args.tol)
         except DomainError:
             continue
         rows.append((name, res))
@@ -342,17 +332,11 @@ def _cmd_sweep(args) -> int:
             "a_re": are, "a_im": aim,
         }
         try:
-            res = engine.phi(z, args.n, a, args.tol)
-        except ToleranceNotMet as exc:
-            res = engine.degraded(exc)
-            if res is None:
-                row.update(value_re=None, value_im=None, err=None,
-                           method=f"error: {exc}", terms_or_nodes=None)
+            res = engine.degrade(engine.phi, z, args.n, a, args.tol)
         except LerchError as exc:
-            res = None
             row.update(value_re=None, value_im=None, err=None,
                        method=f"error: {exc}", terms_or_nodes=None)
-        if res is not None:
+        else:
             row.update(
                 value_re=res.value.real, value_im=res.value.imag,
                 err=res.err_estimate, method=res.method,

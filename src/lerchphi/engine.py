@@ -45,9 +45,8 @@ __all__ = [
     "phi_pv",
     "phi_inverse",
     "phi_integer_a",
-    "phi_integer_shift",
     "ROUTES",
-    "degraded",
+    "degrade",
     "symmetry_transform",
     "extended_polylog",
 ]
@@ -208,10 +207,16 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
         return t ** (n - 1) * cmath.exp(-a * t) / (1.0 - z * cmath.exp(-t))
 
     ray = RayIntegrand(integrand, 0.0, decay_rate=a.real, growth_degree=n - 1)
-    res = integrate_ray(ray, tol)
+    try:
+        res, stall = integrate_ray(ray, tol), None
+    except ToleranceNotMet as exc:
+        res, stall = exc.result, exc
     g = float(factorial(n - 1))
-    return EvalResult(res.value / g, res.err_estimate / g, "integral",
-                      res.terms_or_nodes)
+    result = EvalResult(res.value / g, res.err_estimate / g, "integral",
+                        res.terms_or_nodes)
+    if stall is not None:
+        raise ToleranceNotMet(f"integral route: {stall}", result) from stall
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +266,19 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
         return t ** (n - 1) * cmath.exp((a - 1.0) * t) / (z - cmath.exp(-t))
 
     ray = RayIntegrand(integrand, phi_angle, decay_rate=decay, growth_degree=n - 1)
-    pv = pv_integrate_ray(ray, PoleSpec(t0), tol)
+    try:
+        pv, stall = pv_integrate_ray(ray, PoleSpec(t0), tol), None
+    except ToleranceNotMet as exc:
+        pv, stall = exc.result, exc
     trig = math.pi * _cpow(z, -a) * _leibniz_cot_sum(n, t0, a)
     g = float(factorial(n - 1))
     sign = (-1.0) ** (n - 1)
     value = sign * (pv.value + trig) / g
     err = pv.err_estimate / g + 5e-16 * (n + 1) * abs(trig) / g
-    return EvalResult(value, err, "pv", pv.terms_or_nodes)
+    result = EvalResult(value, err, "pv", pv.terms_or_nodes)
+    if stall is not None:
+        raise ToleranceNotMet(f"principal-value route: {stall}", result) from stall
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +343,19 @@ def _integer_shift_limit(n: int, log_w: complex) -> complex:
     return -math.pi * total
 
 
-def phi_integer_a(w: complex, n: int, N: int, tol: float = 1e-10) -> EvalResult:
-    """Phi(w, n, N) for positive integer shift N, |w| > 1 off [0, oo)."""
-    w = complex(w)
+def phi_integer_a(w: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
+    """Phi(w, n, a) for |w| > 1 off [0, oo) and a within 1e-8 of a positive
+    integer N: the finite-part route at N.  For a != N the substitution slack
+    4 (n + 1) |a - N| (1 + |value|) is added to the error estimate after the
+    tolerance check."""
+    w, a = complex(w), complex(a)
+    N = _near_positive_integer(a)
+    if N is None:
+        raise DomainError(
+            f"integer-shift route needs a within {_INTEGER_SHIFT_GUARD:g} of "
+            f"a positive integer, got a = {a}"
+        )
     _validate_order(n)
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise DomainError(f"shift must be a positive integer, got {N!r}")
     log_w, sgn = _exterior_log(w, "integer-shift route")
     g = factorial(n - 1)
     finite_part = _integer_shift_limit(n, log_w)
@@ -356,30 +374,15 @@ def phi_integer_a(w: complex, n: int, N: int, tol: float = 1e-10) -> EvalResult:
     value = w_neg_n * inner - shift
     err = (abs(w_neg_n) * (li_err + 2e-15 * (abs(inner) + 1.0))
            + 2e-15 * abs(shift))
-    result = EvalResult(value, err, "integer-a", li_terms + max(0, N - 1))
+    terms = li_terms + max(0, N - 1)
     if err > tol * max(1.0, abs(value)):
         raise ToleranceNotMet(
-            f"integer-shift route error {err:.3g} above tolerance", result
+            f"integer-shift route error {err:.3g} above tolerance",
+            EvalResult(value, err, "integer-a", terms),
         )
-    return result
-
-
-def phi_integer_shift(w: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
-    """Phi(w, n, a) for a within 1e-8 of a positive integer N: the
-    integer-shift route at N, with the substitution slack for a != N added
-    to the error estimate."""
-    a = complex(a)
-    k = _near_positive_integer(a)
-    if k is None:
-        raise DomainError(
-            f"integer-shift route needs a within {_INTEGER_SHIFT_GUARD:g} of "
-            f"a positive integer, got a = {a}"
-        )
-    res = phi_integer_a(w, n, k, tol)
-    if a != k:
-        slack = abs(a - k) * (n + 1) * (1.0 + abs(res.value)) * 4.0
-        res = replace(res, err_estimate=res.err_estimate + slack)
-    return res
+    if a != N:
+        err += abs(a - N) * (n + 1) * (1.0 + abs(value)) * 4.0
+    return EvalResult(value, err, "integer-a", terms)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +437,16 @@ def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
 
     Near the unit circle (within 1e-6) convergence degrades; results whose
     tolerance could not be certified are returned with an honest error
-    estimate and a method tag ending in "(degraded)".
+    estimate and a method tag ending in "(degraded)".  Non-finite z or a,
+    and a tol that is not finite and positive, raise DomainError.
     """
     z, a = complex(z), complex(a)
     _validate_order(n)
+    if not (cmath.isfinite(z) and cmath.isfinite(a) and 0.0 < tol < math.inf):
+        raise DomainError(
+            f"phi needs finite z and a and a finite tol > 0, got z = {z}, "
+            f"a = {a}, tol = {tol}"
+        )
     require_off_nonpositive_poles(a)
     r = abs(z)
     if r <= 1.0 - _CIRCLE_BAND:
@@ -460,26 +469,22 @@ def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
         raise DomainError(
             f"z = {z} within {_CIRCLE_BAND:g} of the singular point z = 1"
         )
-    try:
-        return _exterior(z, n, a, tol) if r >= 1.0 else phi_series(z, n, a, tol)
-    except ToleranceNotMet as exc:
-        res = degraded(exc)
-        if res is None:
-            raise
-        return res
+    return degrade(_exterior if r >= 1.0 else phi_series, z, n, a, tol)
 
 
 def _exterior(z: complex, n: int, a: complex, tol: float) -> EvalResult:
     if _near_positive_integer(a) is None:
         return phi_inverse(z, n, a, tol)
-    return phi_integer_shift(z, n, a, tol)
+    return phi_integer_a(z, n, a, tol)
 
 
-def degraded(exc: ToleranceNotMet):
-    """The result exc carries, tagged "(degraded)"; None if it has none."""
-    if exc.result is None:
-        return None
-    return replace(exc.result, method=exc.result.method + " (degraded)")
+def degrade(route, z: complex, n: int, a: complex, tol: float) -> EvalResult:
+    """route(z, n, a, tol); if it raises ToleranceNotMet, the result that
+    exception carries, with its method tagged "(degraded)"."""
+    try:
+        return route(z, n, a, tol)
+    except ToleranceNotMet as exc:
+        return replace(exc.result, method=exc.result.method + " (degraded)")
 
 
 # Every route by name, in the order compare reports them.  Each entry looks
@@ -489,5 +494,5 @@ ROUTES = {
     "integral": lambda z, n, a, tol: phi_integral(z, n, a, tol),
     "pv": lambda z, n, a, tol: phi_pv(z, n, a, tol),
     "inverse": lambda z, n, a, tol: phi_inverse(z, n, a, tol),
-    "integer-a": lambda z, n, a, tol: phi_integer_shift(z, n, a, tol),
+    "integer-a": lambda z, n, a, tol: phi_integer_a(z, n, a, tol),
 }

@@ -33,10 +33,11 @@ class PoleOffRay(DomainError):
 class ToleranceNotMet(LerchError):
     """Requested tolerance could not be certified.
 
-    ``result`` carries the best available value with its honest error
-    estimate, or None when no usable value was produced.
+    ``result`` is the raising route's own best EvalResult, built as on
+    success (same scaling and method tag), with its honest error estimate.
+    Every raiser passes one.
     """
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result):
         super().__init__(message)
         self.result = result

@@ -97,8 +97,7 @@ def _gk_panel(fun, lo: float, hi: float):
     return h * k15, err
 
 
-def _adaptive(fun, lo, hi, tol, abs_target=None, init_panels=8,
-              max_panels=_MAX_PANELS):
+def _adaptive(fun, lo, hi, tol, abs_target=None, init_panels=8):
     """Adaptive bisection until sum of panel errors meets the target.
 
     Target is abs_target when given, else the mixed tol * max(1, |total|).
@@ -127,7 +126,7 @@ def _adaptive(fun, lo, hi, tol, abs_target=None, init_panels=8,
         if total_err <= target:
             converged = True
             break
-        if counter >= max_panels:
+        if counter >= _MAX_PANELS:
             converged = False
             break
         _, _, a, b, val, err = heapq.heappop(heap)

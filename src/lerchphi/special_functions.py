@@ -22,6 +22,7 @@ from .errors import (
     PoleAtNonPositiveInteger,
     ToleranceNotMet,
 )
+from .result import EvalResult
 
 __all__ = [
     "bernoulli",
@@ -316,7 +317,7 @@ def cot_pi_derivative(j: int, a: complex) -> complex:
 # ---------------------------------------------------------------------------
 # Polylogarithm
 
-def _polylog_sum(n: int, x: complex, tol: float, max_terms: int = 300_000):
+def _polylog_sum(n: int, x: complex, tol: float):
     """Direct summation of Li_n(x); returns (value, err_bound, terms).
 
     |x| < 1 uses the geometric tail bound; on the unit circle (x != 1) the
@@ -326,7 +327,7 @@ def _polylog_sum(n: int, x: complex, tol: float, max_terms: int = 300_000):
     x = complex(x)
     if n == 1:
         return -cmath.log(1.0 - x), 4e-16 * abs(cmath.log(1.0 - x)) + 1e-300, 1
-    cap = max_terms if abs(x) < 1.0 else 10_000
+    cap = 300_000 if abs(x) < 1.0 else 10_000
     value, bound, j = _power_sum(x, 0.0, 1, n, 1, 2, cap + 1, tol, tol)
     return value, bound, j - 1
 
@@ -345,10 +346,11 @@ def polylog(n: int, x: complex, tol: float = 1e-12) -> complex:
         return 0j
     if n >= 2 and abs(x - 1.0) <= 1e-14:
         return complex(hurwitz_zeta(n, 1.0))
-    value, err, _ = _polylog_sum(n, x, tol)
+    value, err, terms = _polylog_sum(n, x, tol)
     if err > tol * max(1.0, abs(value)):
         raise ToleranceNotMet(
-            f"polylog({n}, {x}) tail bound {err:.3g} above tolerance", None
+            f"polylog({n}, {x}) tail bound {err:.3g} above tolerance",
+            EvalResult(value, err, "polylog", terms),
         )
     return value
 

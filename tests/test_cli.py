@@ -205,6 +205,27 @@ class TestRoutes:
         code, _, _ = run(capsys, "compare", *self.NEAR_INTEGER)
         assert code == 0
 
+    def test_forced_route_stall_prints_its_own_result(self, capsys):
+        z, n, a = 0.9j, 6, 0.02 + 0.3j
+        code, out, _ = run(capsys, "eval", *point_flags(z, n, a),
+                           "--method", "integral", "--tol", "1e-15",
+                           "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["method"] == "integral (degraded)"
+        value = complex(rec["value"]["re"], rec["value"]["im"])
+        assert abs(value - mp_lerchphi(z, n, a)) <= rec["err_estimate"]
+
+    @pytest.mark.parametrize("flags", [
+        ("--z", "nan,0", "--n", "2", "--a", "0.5,0"),
+        ("--z", "0.5,0", "--n", "2", "--a", "inf,0"),
+        ("--z", "0.5,0", "--n", "2", "--a", "0.5,0", "--tol", "0"),
+    ], ids=["nan-z", "inf-a", "zero-tol"])
+    def test_auto_refuses_non_finite_input(self, capsys, flags):
+        code, out, err = run(capsys, "eval", *flags)
+        assert code == 2
+        assert out == "" and "domain error" in err
+
 
 class TestCheck:
     def test_symmetry_suite_passes(self, capsys):

@@ -2,12 +2,15 @@
 
 import cmath
 import math
+import random
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lerchphi.engine import (
+    ROUTES,
     Region,
     classify,
     extended_polylog,
@@ -24,7 +27,9 @@ from lerchphi.errors import (
     NearIntegerShift,
     PoleAtInteger,
     PoleAtNonPositiveInteger,
+    ToleranceNotMet,
 )
+from lerchphi.result import EvalResult
 from lerchphi.special_functions import polylog
 from oracles import phi_integer_a_explicit
 
@@ -369,6 +374,108 @@ class TestDispatcher:
         assert res.method == "inverse"
         ref = mp_ref(-3.0, 2, -0.4)
         assert abs(res.value - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("z, n, a, tol", [
+        (complex("nan"), 2, 0.5, 1e-10),
+        (0.5, 2, math.inf, 1e-10),
+        (0.5, 2, math.nan, 1e-10),
+        (0.5, 2, 0.5, math.nan),
+        (0.5, 2, 0.5, 0.0),
+    ], ids=["nan-z", "inf-a", "nan-a", "nan-tol", "zero-tol"])
+    def test_refuses_what_it_cannot_evaluate(self, z, n, a, tol):
+        with pytest.raises(DomainError, match="finite"):
+            phi(z, n, a, tol)
+
+
+def dispatcher_grid(seed=0):
+    """(z, n, a, tol) over every region phi serves, drawn from one seed."""
+    rng = random.Random(seed)
+
+    def polar(r):
+        return r * cmath.exp(1j * rng.choice((1, -1)) * rng.uniform(0.1, 3.0))
+
+    def shift():
+        return complex(rng.uniform(-1.4, 2.6), rng.uniform(-0.5, 0.5))
+
+    tol = 1e-10
+    points = []
+    for _ in range(12):  # the disc
+        points.append((polar(rng.uniform(0.05, 0.95)), rng.randint(1, 4),
+                       shift(), tol))
+    for x in (0.3, 0.8, -0.4, -0.9):  # the real segment
+        points.append((complex(x), rng.randint(1, 4), shift(), tol))
+    for _ in range(2):  # inside the band, both sides of |z| = 1
+        delta = 10 ** rng.uniform(-7.5, -6.5)
+        points.append((polar(1 - delta), rng.randint(3, 4), shift(), tol))
+        points.append((polar(1 + delta), rng.randint(1, 4), shift(), tol))
+    for r in (1 - 5e-13, 1.0):  # on the circle: both expansions stop at 10^4
+        points.append((polar(r), 2, shift(), tol))
+    # just outside the band: the series certifies, the inverse stops at its cap
+    for _ in range(2):
+        delta = 10 ** rng.uniform(-5.9, -5.1)
+        points.append((polar(1 - delta), 4, shift(), tol))
+        points.append((polar(1 + delta), rng.randint(1, 4), shift(), tol))
+    for _ in range(8):  # the exterior
+        points.append((polar(rng.uniform(1.2, 5.0)), rng.randint(1, 4),
+                       shift(), tol))
+    for re_a in (0.3, 1.7, -0.4, -1.3):  # negative real exterior
+        points.append((complex(-rng.uniform(1.2, 4.0)), rng.randint(1, 4),
+                       complex(re_a, rng.uniform(-0.5, 0.5)), tol))
+    for off in (0, 0, 4e-9, 3e-9j):  # integer and near-integer shifts
+        points.append((polar(rng.uniform(1.2, 5.0)), rng.randint(1, 4),
+                       rng.randint(1, 4) + off, tol))
+    for n in (2, 3):  # z = 1
+        points.append((1.0 + 0j, n, complex(rng.uniform(0.2, 2.0)), tol))
+    return points
+
+
+def test_dispatcher_matches_the_route_its_tag_names():
+    """phi returns, field for field, what ROUTES[name] returns for the route
+    its method tag names; a degraded result is the one the route's
+    ToleranceNotMet carries, tagged; a raising phi carries the route's."""
+    seen = set()
+    for z, n, a, tol in dispatcher_grid():
+        try:
+            res, raised = phi(z, n, a, tol), False
+        except ToleranceNotMet as exc:
+            res, raised = exc.result, True
+        name = res.method.removesuffix(" (degraded)")
+        seen.add("raised" if raised else res.method)
+        if raised or name != res.method:
+            with pytest.raises(ToleranceNotMet) as info:
+                ROUTES[name](z, n, a, tol)
+            expected = info.value.result
+            if not raised:
+                expected = replace(expected, method=res.method)
+        else:
+            expected = ROUTES[name](z, n, a, tol)
+        assert res == expected, (z, n, a)
+    assert {"series", "integral", "inverse", "integer-a", "series (degraded)",
+            "inverse (degraded)", "raised"} <= seen
+
+
+class TestRouteContract:
+    """A route returns a certified result, refuses with DomainError, or
+    raises ToleranceNotMet carrying its own best result."""
+
+    def test_integral_stall_carries_the_scaled_result(self):
+        with pytest.raises(ToleranceNotMet) as info:
+            phi_integral(0.9j, 6, 0.02 + 0.3j, 1e-15)
+        res = info.value.result
+        assert res.method == "integral"
+        assert abs(res.value - mp_ref(0.9j, 6, 0.02 + 0.3j)) <= res.err_estimate
+
+    def test_pv_stall_carries_the_route_result(self):
+        with pytest.raises(ToleranceNotMet) as info:
+            phi_pv(0.5, 3, 0.5, 1e-14)
+        assert info.value.result.method == "pv"
+
+    def test_polylog_raises_with_a_result(self):
+        with pytest.raises(ToleranceNotMet) as info:
+            polylog(2, 1j)
+        res = info.value.result
+        assert isinstance(res, EvalResult)
+        assert abs(res.value - complex(mp.polylog(2, 1j))) <= res.err_estimate
 
 
 disc_z = st.builds(
