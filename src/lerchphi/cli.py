@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import itertools
 import json
 import math
 import os
@@ -26,8 +27,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_DEVIATION = 3
-
-_SUITES = ("all", "symmetry", "recurrences", "reflections", "theorem1")
 
 _SWEEP_FIELDS = (
     "z_re", "z_im", "n", "a_re", "a_im",
@@ -89,24 +88,34 @@ def _complex_json(z: complex):
 
 
 # ---------------------------------------------------------------------------
+# result cells, shared by eval, compare and sweep
+
+def _result_cells(res: EvalResult) -> list:
+    """CSV cells value_re, value_im, err of a result."""
+    return [_fmt(res.value.real), _fmt(res.value.imag), _fmt(res.err_estimate)]
+
+
+def _result_json(res: EvalResult) -> dict:
+    """JSON fields value, err_estimate, terms_or_nodes of a result."""
+    return {
+        "value": _complex_json(res.value),
+        "err_estimate": res.err_estimate,
+        "terms_or_nodes": res.terms_or_nodes,
+    }
+
+
+# ---------------------------------------------------------------------------
 # eval
 
 def _emit_eval(res: EvalResult, fmt: str, out) -> None:
     if fmt == "json":
-        rec = {
-            "value": _complex_json(res.value),
-            "err_estimate": res.err_estimate,
-            "method": res.method,
-            "terms_or_nodes": res.terms_or_nodes,
-        }
+        rec = {**_result_json(res), "method": res.method}
         out.write(json.dumps(rec, sort_keys=True) + "\n")
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["value_re", "value_im", "err", "method",
                          "terms_or_nodes"])
-        writer.writerow([_fmt(res.value.real), _fmt(res.value.imag),
-                         _fmt(res.err_estimate), res.method,
-                         res.terms_or_nodes])
+        writer.writerow([*_result_cells(res), res.method, res.terms_or_nodes])
     else:
         out.write(f"value = {_fmt(res.value.real)} {_fmt(res.value.imag)}i\n")
         out.write(f"err_estimate = {_fmt(res.err_estimate)}\n")
@@ -140,27 +149,14 @@ def _cmd_compare(args) -> int:
         r for _, r in rows
         if r.err_estimate <= 10 * args.tol * max(1.0, abs(r.value))
     ]
-    deviation = 0.0
-    scale = 1.0
-    if len(certified) >= 2:
-        for i in range(len(certified)):
-            for j in range(i + 1, len(certified)):
-                deviation = max(
-                    deviation, abs(certified[i].value - certified[j].value)
-                )
-                scale = max(scale, abs(certified[i].value))
+    deviation = max([0.0, *(abs(x.value - y.value)
+                            for x, y in itertools.combinations(certified, 2))])
+    scale = max([1.0, *(abs(r.value) for r in certified)])
 
     if args.format == "json":
         rec = {
-            "methods": [
-                {
-                    "method": name,
-                    "value": _complex_json(res.value),
-                    "err_estimate": res.err_estimate,
-                    "terms_or_nodes": res.terms_or_nodes,
-                }
-                for name, res in rows
-            ],
+            "methods": [{"method": name, **_result_json(res)}
+                        for name, res in rows],
             "max_pairwise_deviation": deviation,
         }
         sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -169,8 +165,7 @@ def _cmd_compare(args) -> int:
         writer.writerow(["method", "value_re", "value_im", "err",
                          "terms_or_nodes"])
         for name, res in rows:
-            writer.writerow([name, _fmt(res.value.real), _fmt(res.value.imag),
-                             _fmt(res.err_estimate), res.terms_or_nodes])
+            writer.writerow([name, *_result_cells(res), res.terms_or_nodes])
         writer.writerow(["max_pairwise_deviation", _fmt(deviation), "", "", ""])
     else:
         for name, res in rows:
@@ -234,7 +229,7 @@ def _check_symmetry(rng, grid, tol):
         z = _sample_disc_z(rng)
         n = rng.randint(1, 5)
         a = _sample_shift(rng)
-        res = identities.residual_symmetry(z, n, a)
+        res = identities.residual_symmetry(z, n, a, gate)
         yield _record("symmetry", _point(z=z, n=n, a=a), res, gate)
 
 
@@ -262,16 +257,16 @@ def _check_recurrences(rng, grid, tol):
         z = _sample_disc_z(rng) if i % 2 == 0 else _sample_exterior_z(rng)
         a = _sample_shift(rng)
         n_shift = rng.randint(1, 4)
-        res = identities.residual_shift(z, n_shift, a)
-        yield _record("shift", _point(z=z, n=n_shift, a=a), res,
-                      tol if tol is not None else 1e-10)
+        gate = tol if tol is not None else 1e-10
+        res = identities.residual_shift(z, n_shift, a, gate)
+        yield _record("shift", _point(z=z, n=n_shift, a=a), res, gate)
         n_ladder = rng.randint(2, 4)
-        down, up = identities.residual_s_ladder(z, n_ladder, a)
         gate = tol if tol is not None else 1e-6
+        down, up = identities.residual_s_ladder(z, n_ladder, a, gate)
         yield _record("s-ladder-down", _point(z=z, n=n_ladder, a=a), down, gate)
         yield _record("s-ladder-up", _point(z=z, n=n_ladder, a=a), up, gate)
         n_pde = rng.randint(1, 3)
-        res = identities.residual_pde(z, n_pde, a)
+        res = identities.residual_pde(z, n_pde, a, gate)
         yield _record("pde", _point(z=z, n=n_pde, a=a), res, gate)
 
 
@@ -291,22 +286,21 @@ def _check_reflections(rng, grid, tol):
         yield _record("polygamma-reflection", _point(a=a, m=m), res, gate)
 
 
+# The suites by name, in the order "all" runs them.
+_SUITES = {
+    "symmetry": _check_symmetry,
+    "recurrences": _check_recurrences,
+    "reflections": _check_reflections,
+    "theorem1": _check_theorem1,
+}
+
+
 def _cmd_check(args) -> int:
     rng = random.Random(args.seed)
-    generators = {
-        "symmetry": _check_symmetry,
-        "theorem1": _check_theorem1,
-        "recurrences": _check_recurrences,
-        "reflections": _check_reflections,
-    }
-    names = (
-        ("symmetry", "recurrences", "reflections", "theorem1")
-        if args.suite == "all"
-        else (args.suite,)
-    )
+    names = _SUITES if args.suite == "all" else (args.suite,)
     all_pass = True
     for name in names:
-        for rec in generators[name](rng, args.grid, args.tol):
+        for rec in _SUITES[name](rng, args.grid, args.tol):
             sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
             all_pass = all_pass and rec["pass"]
     return EXIT_OK if all_pass else EXIT_DEVIATION
@@ -316,65 +310,40 @@ def _cmd_check(args) -> int:
 # sweep
 
 def _cmd_sweep(args) -> int:
-    grid = [
-        (r, theta, are, aim)
-        for r in args.abs_z
-        for theta in args.arg_z
-        for are in args.a_re
-        for aim in args.a_im
-    ]
-    rows = []
-    for r, theta, are, aim in grid:
-        z = r * cmath.exp(1j * theta)
-        a = complex(are, aim)
-        row = {
-            "z_re": z.real, "z_im": z.imag, "n": args.n,
-            "a_re": are, "a_im": aim,
-        }
-        try:
-            res = engine.degrade(engine.phi, z, args.n, a, args.tol)
-        except LerchError as exc:
-            row.update(value_re=None, value_im=None, err=None,
-                       method=f"error: {exc}", terms_or_nodes=None)
-        else:
-            row.update(
-                value_re=res.value.real, value_im=res.value.imag,
-                err=res.err_estimate, method=res.method,
-                terms_or_nodes=res.terms_or_nodes,
-            )
-        rows.append(row)
-
+    jsonl = args.format == "jsonl"
     out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     try:
-        if args.format == "jsonl":
-            for row in rows:
-                rec = {
-                    "z": {"re": row["z_re"], "im": row["z_im"]},
-                    "n": row["n"],
-                    "a": {"re": row["a_re"], "im": row["a_im"]},
-                    "value": (
-                        None if row["value_re"] is None
-                        else {"re": row["value_re"], "im": row["value_im"]}
-                    ),
-                    "err": row["err"],
-                    "method": row["method"],
-                    "terms_or_nodes": row["terms_or_nodes"],
-                }
-                out.write(json.dumps(rec, sort_keys=True) + "\n")
-        else:
-            writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
+        if not jsonl:
             writer.writerow(_SWEEP_FIELDS)
-            for row in rows:
-                writer.writerow([
-                    _fmt(row["z_re"]), _fmt(row["z_im"]), row["n"],
-                    _fmt(row["a_re"]), _fmt(row["a_im"]),
-                    "" if row["value_re"] is None else _fmt(row["value_re"]),
-                    "" if row["value_im"] is None else _fmt(row["value_im"]),
-                    "" if row["err"] is None else _fmt(row["err"]),
-                    row["method"],
-                    "" if row["terms_or_nodes"] is None
-                    else row["terms_or_nodes"],
-                ])
+        for r, theta, are, aim in itertools.product(
+            args.abs_z, args.arg_z, args.a_re, args.a_im
+        ):
+            z, a = r * cmath.exp(1j * theta), complex(are, aim)
+            try:
+                res = engine.degrade(engine.phi, z, args.n, a, args.tol)
+            except LerchError as exc:
+                error = f"error: {exc}"
+                fields = (
+                    {"value": None, "err": None, "method": error,
+                     "terms_or_nodes": None}
+                    if jsonl else ["", "", "", error, ""]
+                )
+            else:
+                fields = (
+                    {"value": _complex_json(res.value),
+                     "err": res.err_estimate, "method": res.method,
+                     "terms_or_nodes": res.terms_or_nodes}
+                    if jsonl
+                    else [*_result_cells(res), res.method, res.terms_or_nodes]
+                )
+            if jsonl:
+                rec = {"z": _complex_json(z), "n": args.n,
+                       "a": _complex_json(a), **fields}
+                out.write(json.dumps(rec, sort_keys=True) + "\n")
+            else:
+                writer.writerow([_fmt(z.real), _fmt(z.imag), args.n,
+                                 _fmt(are), _fmt(aim), *fields])
     finally:
         if out is not sys.stdout:
             out.close()
@@ -414,7 +383,7 @@ def _build_parser(default_tol: float) -> _Parser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_check = sub.add_parser("check", help="certify the identity web")
-    p_check.add_argument("--suite", default="all", choices=list(_SUITES))
+    p_check.add_argument("--suite", default="all", choices=("all", *_SUITES))
     p_check.add_argument("--grid", type=int, default=20)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--tol", type=float, default=None)

@@ -98,6 +98,19 @@ def _validate_order(n) -> None:
         raise DomainError(f"order must be a positive integer, got {n!r}")
 
 
+def _validate(z, n, a, tol):
+    """complex(z), complex(a), once n is a positive integer, z and a are
+    finite and 0 < tol < inf: the entry check of phi and every route."""
+    z, a = complex(z), complex(a)
+    _validate_order(n)
+    if not (cmath.isfinite(z) and cmath.isfinite(a) and 0.0 < tol < math.inf):
+        raise DomainError(
+            f"phi needs finite z and a and a finite tol > 0, got z = {z}, "
+            f"a = {a}, tol = {tol}"
+        )
+    return z, a
+
+
 def _on_positive_real_axis(z: complex) -> bool:
     return z.real > 0 and abs(z.imag) <= _AXIS_RTOL * abs(z)
 
@@ -164,8 +177,7 @@ def _sign(x: float) -> int:
 
 def phi_series(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     """Compensated summation of sum_m z^m / (a + m)^n with a certified tail."""
-    z, a = complex(z), complex(a)
-    _validate_order(n)
+    z, a = _validate(z, n, a, tol)
     require_off_nonpositive_poles(a)
     r = abs(z)
     if r > 1.0 + 1e-12:
@@ -196,8 +208,7 @@ def phi_series(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult
 
 def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     """(1/(n-1)!) * integral over t in [0, oo) of t^(n-1) e^(-a t) / (1 - z e^(-t))."""
-    z, a = complex(z), complex(a)
-    _validate_order(n)
+    z, a = _validate(z, n, a, tol)
     if a.real <= 0:
         raise DomainError(f"integral route needs Re a > 0, got {a}")
     if _is_real(z) and z.real >= 1.0 - 1e-14:
@@ -238,8 +249,7 @@ def _leibniz_cot_sum(n: int, log_factor: complex, a: complex,
 def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     """Principal-value representation: (-1)^(n-1)/(n-1)! * {PV integral along
     arg t = phi with pole at -ln z, plus pi * d^(n-1)/da^(n-1) (z^-a cot(pi a))}."""
-    z, a = complex(z), complex(a)
-    _validate_order(n)
+    z, a = _validate(z, n, a, tol)
     r = abs(z)
     if not 0.0 < r < 1.0 or (_is_real(z) and z.real < 0):
         raise DomainError(
@@ -290,8 +300,7 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
     pi/(n-1)! [d^(n-1)/dt^(n-1) (w^t (sgn(phi) i - cot(pi t)))]_(t = -b)
     - sum_{m>=1} w^(-m) / (b - m)^n.
     """
-    w, b = complex(w), complex(b)
-    _validate_order(n)
+    w, b = _validate(w, n, b, tol)
     log_w, sgn = _exterior_log(w, "inverse-argument expansion")
     k = _near_positive_integer(b)
     if k is not None:
@@ -348,14 +357,13 @@ def phi_integer_a(w: complex, n: int, a: complex, tol: float = 1e-10) -> EvalRes
     integer N: the finite-part route at N.  For a != N the substitution slack
     4 (n + 1) |a - N| (1 + |value|) is added to the error estimate after the
     tolerance check."""
-    w, a = complex(w), complex(a)
+    w, a = _validate(w, n, a, tol)
     N = _near_positive_integer(a)
     if N is None:
         raise DomainError(
             f"integer-shift route needs a within {_INTEGER_SHIFT_GUARD:g} of "
             f"a positive integer, got a = {a}"
         )
-    _validate_order(n)
     log_w, sgn = _exterior_log(w, "integer-shift route")
     g = factorial(n - 1)
     finite_part = _integer_shift_limit(n, log_w)
@@ -440,13 +448,7 @@ def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     estimate and a method tag ending in "(degraded)".  Non-finite z or a,
     and a tol that is not finite and positive, raise DomainError.
     """
-    z, a = complex(z), complex(a)
-    _validate_order(n)
-    if not (cmath.isfinite(z) and cmath.isfinite(a) and 0.0 < tol < math.inf):
-        raise DomainError(
-            f"phi needs finite z and a and a finite tol > 0, got z = {z}, "
-            f"a = {a}, tol = {tol}"
-        )
+    z, a = _validate(z, n, a, tol)
     require_off_nonpositive_poles(a)
     r = abs(z)
     if r <= 1.0 - _CIRCLE_BAND:

@@ -138,6 +138,23 @@ class TestCompare:
         )
         assert code == 3
 
+    def test_scale_is_the_largest_certified_value(self, capsys, monkeypatch):
+        # at --tol 0.1 compare exits 3 when the deviation exceeds
+        # 10 * 0.1 * scale: |3 - 1| = 2 is within the scale 3 of both values,
+        # but not within 1, the scale without the last (largest) one
+        def route(value):
+            return lambda z, n, a, tol=1e-10: EvalResult(value, 0.0, "x", 1)
+
+        monkeypatch.setattr(engine, "phi_series", route(1.0 + 0j))
+        monkeypatch.setattr(engine, "phi_integral", route(3.0 + 0j))
+        code, out, _ = run(
+            capsys, "compare", "--z", "0.5,0", "--n", "1", "--a", "1,0",
+            "--tol", "0.1", "--format", "json",
+        )
+        assert [row["method"] for row in json.loads(out)["methods"]] == [
+            "series", "integral"]
+        assert code == 0
+
     def test_no_admissible_method(self, capsys):
         code, _, err = run(
             capsys, "compare", "--z", "3,0", "--n", "1", "--a=-0.5,0"
@@ -216,6 +233,14 @@ class TestRoutes:
         value = complex(rec["value"]["re"], rec["value"]["im"])
         assert abs(value - mp_lerchphi(z, n, a)) <= rec["err_estimate"]
 
+    @pytest.mark.parametrize("name", list(engine.ROUTES))
+    def test_forced_route_refuses_non_finite_tol(self, capsys, name):
+        z, n, a = ROUTE_POINTS[name]
+        code, out, err = run(capsys, "eval", *point_flags(z, n, a),
+                             "--tol", "nan", "--method", name)
+        assert code == 2
+        assert out == "" and "domain error" in err
+
     @pytest.mark.parametrize("flags", [
         ("--z", "nan,0", "--n", "2", "--a", "0.5,0"),
         ("--z", "0.5,0", "--n", "2", "--a", "inf,0"),
@@ -277,6 +302,20 @@ class TestCheck:
             "--seed", "11",
         )
         assert out1 == out2
+
+    @pytest.mark.parametrize("suite, identity", [
+        ("symmetry", "symmetry"), ("recurrences", "shift"),
+    ])
+    def test_tol_sets_the_residual_tolerance(self, capsys, suite, identity):
+        # the residuals are evaluated at the gate, not at their defaults
+        _, out, _ = run(
+            capsys, "check", "--suite", suite, "--grid", "10", "--seed", "0",
+            "--tol", "1e-12",
+        )
+        records = [json.loads(line) for line in out.splitlines()]
+        records = [rec for rec in records if rec["identity"] == identity]
+        assert len(records) == 10
+        assert all(rec["pass"] for rec in records)
 
     def test_bad_suite_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "check", "--suite", "nonsense")
@@ -344,6 +383,23 @@ class TestSweep:
             v = complex(float(row["value_re"]), float(row["value_im"]))
             ref = engine.phi_integral(z, 3, 0.4, 1e-10).value
             assert abs(v - ref) < 1e-9
+
+    def test_unwritable_path_evaluates_no_point(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_degrade(*args):
+            calls.append(args)
+            return degrade(*args)
+
+        degrade = engine.degrade
+        monkeypatch.setattr(engine, "degrade", counting_degrade)
+        code, _, err = run(
+            capsys, "sweep", "--abs-z", "0.5:0.9:3", "--arg-z", "1:2:2",
+            "--a-re", "0.5:0.5:1", "--a-im", "0:0:1", "--n", "2",
+            "--out", "/nonexistent-dir/x.csv",
+        )
+        assert code == 1 and "error:" in err
+        assert calls == []
 
     def test_unwritable_path(self, capsys):
         code, _, err = run(

@@ -470,6 +470,30 @@ class TestRouteContract:
             phi_pv(0.5, 3, 0.5, 1e-14)
         assert info.value.result.method == "pv"
 
+    # a point each route admits
+    ROUTE_POINTS = {
+        "series": (0.3 + 0.4j, 2, 0.7),
+        "integral": (0.5j, 3, 0.4 + 0.2j),
+        "pv": (0.5, 1, 0.5),
+        "inverse": (2j, 2, 0.25),
+        "integer-a": (2j, 2, 2),
+    }
+
+    @pytest.mark.parametrize("bad", [
+        {"z": complex("nan")},
+        {"a": math.inf},
+        {"tol": 0.0},
+        {"tol": math.nan},
+        {"tol": -1.0},
+    ], ids=["nan-z", "inf-a", "zero-tol", "nan-tol", "negative-tol"])
+    @pytest.mark.parametrize("name", list(ROUTES))
+    def test_route_refuses_what_phi_refuses(self, name, bad):
+        z, n, a = self.ROUTE_POINTS[name]
+        assert ROUTES[name](z, n, a, 1e-10).method == name
+        point = {"z": z, "a": a, "tol": 1e-10, **bad}
+        with pytest.raises(DomainError, match="finite"):
+            ROUTES[name](point["z"], n, point["a"], point["tol"])
+
     def test_polylog_raises_with_a_result(self):
         with pytest.raises(ToleranceNotMet) as info:
             polylog(2, 1j)
