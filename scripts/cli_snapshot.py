@@ -95,6 +95,16 @@ def commands():
                            "--a", "0.5,0"]),
         ("eval-z3", ["eval", "--z", "3,0", "--n", "1", "--a", "0.5,0"]),
         ("compare-z3", ["compare", "--z", "3,0", "--n", "1", "--a=-0.5,0"]),
+        # the rows of phi's route table that no point above reaches
+        ("eval-z0", ["eval", "--z", "0,0", "--n", "2", "--a", "0.5,0"]),
+        ("eval-near-one", ["eval", "--z", "1.0000005,0", "--n", "2",
+                           "--a", "0.5,0"]),
+        ("eval-one-by-5e-13", ["eval", "--z", "1.0000000000005,0",
+                               "--n", "2", "--a", "0.5,0"]),
+        ("eval-negative-real-re-a-positive",
+         ["eval", "--z=-3,0", "--n", "2", "--a", "0.3,0"]),
+        ("eval-negative-real-re-a-negative",
+         ["eval", "--z=-3,0", "--n", "2", "--a=-0.4,0"]),
         ("sweep-empty", ["sweep", "--abs-z", "0.2:0.8:0", "--arg-z", "0:1:2",
                          "--a-re", "0.5:0.5:1", "--a-im", "0:0:1", "--n", "2",
                          "--out", "-"]),

@@ -2,12 +2,12 @@
 
 Five cross-validating evaluation routes (series, exponential-kernel
 integral, principal-value ray representation, inverse-argument expansion,
-integer-shift finite part), a region/branch classifier, and residual checks
-for the symmetry relation and the surrounding identity web.
+integer-shift finite part), the region classifier whose Region picks the
+dispatcher's routes, and residual checks for the symmetry relation and the
+surrounding identity web.
 """
 
 from .engine import (
-    BranchData,
     LerchQuery,
     Region,
     classify,

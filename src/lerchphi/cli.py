@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import itertools
 import json
 import math
@@ -352,6 +353,7 @@ def _cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser(default_tol: float) -> _Parser:
     parser = _Parser(prog="lerchphi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True,

@@ -5,7 +5,8 @@ disc, the exponential-kernel integral for Re a > 0, the principal-value ray
 representation inside the cut disc, the inverse-argument expansion outside
 the circle, and the Laurent finite-part route for integer shifts.  All
 powers use the principal logarithm, arg in (-pi, pi], which is what makes
-the sign of phi = arg(-ln z) meaningful.
+the sign of phi = arg(-ln z) meaningful.  The dispatcher phi tries the
+routes of the row of _ROUTE_TABLE that classify(z) picks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import comb, factorial
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -36,7 +38,6 @@ from .special_functions import (
 
 __all__ = [
     "LerchQuery",
-    "BranchData",
     "Region",
     "classify",
     "phi",
@@ -64,13 +65,16 @@ _INTEGER_SHIFT_GUARD = 1e-8
 
 
 class Region(Enum):
-    ZERO = "Zero"
-    ONE = "One"
-    INSIDE_DISC = "InsideDiscD"
-    INSIDE_REAL_SEGMENT = "InsideRealSegment"
-    UNIT_CIRCLE = "UnitCircle"
-    EXTERIOR = "Exterior"
-    EXTERIOR_REAL_LINE = "ExteriorRealLine"
+    """Where z lies, as phi's route table (_ROUTE_TABLE) sees it."""
+
+    INSIDE_DISC = "InsideDiscD"  # |z| <= 1 - 1e-6, z = 0 included
+    BAND_INSIDE = "BandInside"  # 1 - 1e-6 < |z| < 1 off the positive axis
+    BAND_OUTSIDE = "BandOutside"  # 1 <= |z| < 1 + 1e-6 off the positive axis
+    ONE = "One"  # within 1e-12 of z = 1
+    NEAR_ONE = "NearOne"  # the positive axis inside the band, not ONE
+    EXTERIOR = "Exterior"  # |z| >= 1 + 1e-6 off the real line
+    EXTERIOR_NEGATIVE_REAL = "ExteriorNegativeReal"
+    CUT = "Cut"  # the positive axis at |z| >= 1 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,14 +87,6 @@ class LerchQuery:
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "a", complex(self.a))
         _validate_order(self.n)
-
-
-@dataclass(frozen=True)
-class BranchData:
-    log_z: complex
-    phi: float
-    sgn_phi: int
-    region: Region
 
 
 def _validate_order(n) -> None:
@@ -142,34 +138,21 @@ def _cpow(base: complex, expo: complex) -> complex:
     return cmath.exp(expo * cmath.log(base))
 
 
-def classify(z: complex) -> BranchData:
-    """Region and branch data for z: principal log, phi, sgn(phi).
-
-    phi follows the disc convention arg(-ln z) for |z| <= 1 and the
-    inverse-argument convention arg(ln w), w = z, outside.
-    """
+def classify(z: complex) -> Region:
+    """The region of z; phi serves it with the routes of its table row."""
     z = complex(z)
-    if z == 0:
-        return BranchData(complex("nan"), math.nan, 0, Region.ZERO)
-    log_z = cmath.log(z)
     r = abs(z)
-    on_axis = _on_positive_real_axis(z)
-    if abs(z - 1.0) <= _AXIS_RTOL:
-        return BranchData(log_z, 0.0, 0, Region.ONE)
-    if abs(r - 1.0) <= _AXIS_RTOL:
-        phi_angle = cmath.phase(-log_z)
-        return BranchData(log_z, phi_angle, _sign(phi_angle), Region.UNIT_CIRCLE)
+    if r <= 1.0 - _CIRCLE_BAND:
+        return Region.INSIDE_DISC
+    if abs(z - 1.0) <= 1e-12:
+        return Region.ONE
+    if _on_positive_real_axis(z):
+        return Region.CUT if r >= 1.0 + _CIRCLE_BAND else Region.NEAR_ONE
     if r < 1.0:
-        phi_angle = cmath.phase(-log_z)
-        region = Region.INSIDE_REAL_SEGMENT if on_axis else Region.INSIDE_DISC
-        return BranchData(log_z, phi_angle, 0 if on_axis else _sign(phi_angle), region)
-    phi_angle = cmath.phase(log_z)
-    region = Region.EXTERIOR_REAL_LINE if _is_real(z) else Region.EXTERIOR
-    return BranchData(log_z, phi_angle, 0 if on_axis else _sign(phi_angle), region)
-
-
-def _sign(x: float) -> int:
-    return 1 if x > 0 else (-1 if x < 0 else 0)
+        return Region.BAND_INSIDE
+    if r < 1.0 + _CIRCLE_BAND:
+        return Region.BAND_OUTSIDE
+    return Region.EXTERIOR_NEGATIVE_REAL if _is_real(z) else Region.EXTERIOR
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +423,34 @@ def extended_polylog(z: complex, n: int, a: complex, tol: float = 1e-10) -> Eval
 # ---------------------------------------------------------------------------
 # Dispatcher
 
+class _Row(NamedTuple):
+    """phi's row for a region: the ROUTES names it tries in order (a route
+    that refuses with DomainError passes the point on), the DomainError text
+    when all refuse (else the last refusal stands), whether a result goes
+    through degrade, and the point the routes get if not z."""
+
+    routes: tuple
+    refusal: str = ""
+    degraded: bool = False
+    at: complex | None = None
+
+
+_ROUTE_TABLE = {
+    Region.INSIDE_DISC: _Row(("series",)),
+    Region.BAND_INSIDE: _Row(("series",), degraded=True),
+    Region.BAND_OUTSIDE: _Row(("inverse", "integer-a"), degraded=True),
+    Region.ONE: _Row(("series",), "singular stratum z=1, n=1", at=1.0 + 0j),
+    Region.NEAR_ONE: _Row(
+        (), f"z = {{z}} within {_CIRCLE_BAND:g} of the singular point z = 1"),
+    Region.EXTERIOR: _Row(("inverse", "integer-a")),
+    Region.EXTERIOR_NEGATIVE_REAL: _Row(("integral", "inverse", "integer-a")),
+    Region.CUT: _Row((), "z = {z} on the singular cut (1, oo); no implemented "
+                         "representation applies"),
+}
+
+
 def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
-    """Evaluate Phi(z, n, a), selecting the route from the region of z.
+    """Evaluate Phi(z, n, a) by the routes of the region of z.
 
     Near the unit circle (within 1e-6) convergence degrades; results whose
     tolerance could not be certified are returned with an honest error
@@ -450,34 +459,19 @@ def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     """
     z, a = _validate(z, n, a, tol)
     require_off_nonpositive_poles(a)
-    r = abs(z)
-    if r <= 1.0 - _CIRCLE_BAND:
-        return phi_series(z, n, a, tol)
-    if r >= 1.0 + _CIRCLE_BAND:
-        if _on_positive_real_axis(z):
-            raise DomainError(
-                f"z = {z} on the singular cut (1, oo); no implemented "
-                "representation applies"
-            )
-        if _is_real(z) and a.real > 0:
-            return phi_integral(z, n, a, tol)
-        return _exterior(z, n, a, tol)
-    # near the unit circle
-    if abs(z - 1.0) <= 1e-12:
-        if n == 1:
-            raise DomainError("singular stratum z=1, n=1")
-        return phi_series(1.0 + 0j, n, a, tol)
-    if _on_positive_real_axis(z):
-        raise DomainError(
-            f"z = {z} within {_CIRCLE_BAND:g} of the singular point z = 1"
-        )
-    return degrade(_exterior if r >= 1.0 else phi_series, z, n, a, tol)
-
-
-def _exterior(z: complex, n: int, a: complex, tol: float) -> EvalResult:
-    if _near_positive_integer(a) is None:
-        return phi_inverse(z, n, a, tol)
-    return phi_integer_a(z, n, a, tol)
+    row = _ROUTE_TABLE[classify(z)]
+    point = z if row.at is None else row.at
+    refused = None
+    for name in row.routes:
+        try:
+            if row.degraded:
+                return degrade(ROUTES[name], point, n, a, tol)
+            return ROUTES[name](point, n, a, tol)
+        except DomainError as exc:
+            refused = exc
+    if row.refusal:
+        raise DomainError(row.refusal.format(z=z))
+    raise refused
 
 
 def degrade(route, z: complex, n: int, a: complex, tol: float) -> EvalResult:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from lerchphi.engine import (
     ROUTES,
+    _ROUTE_TABLE,
     Region,
     classify,
     extended_polylog,
@@ -48,40 +49,71 @@ def mp_ref(z, n, a):
 
 
 class TestClassify:
-    def test_inside_disc_negative_sign(self):
-        b = classify(0.5j)
-        assert b.region is Region.INSIDE_DISC
-        # -Log(0.5i) = ln 2 - i pi/2 lies in the lower half plane
-        assert b.sgn_phi == -1
-        assert b.phi < 0
+    E = cmath.exp(0.7j)
+
+    @pytest.mark.parametrize("z, region", [
+        (0.5j, Region.INSIDE_DISC),
+        ((1 - 2e-6) * E, Region.INSIDE_DISC),
+        ((1 - 5e-7) * E, Region.BAND_INSIDE),
+        ((1 - 5e-13) * E, Region.BAND_INSIDE),
+        (E, Region.BAND_OUTSIDE),
+        ((1 + 1e-8) * E, Region.BAND_OUTSIDE),
+        ((1 + 5e-7) * E, Region.BAND_OUTSIDE),
+        ((1 + 2e-6) * E, Region.EXTERIOR),
+        (2j, Region.EXTERIOR),
+    ])
+    def test_band_edges_off_the_real_line(self, z, region):
+        assert classify(z) is region
 
     def test_inside_real_segment(self):
-        b = classify(0.5)
-        assert b.region is Region.INSIDE_REAL_SEGMENT
-        assert b.sgn_phi == 0
-        assert b.phi == 0.0
+        assert classify(0.5) is Region.INSIDE_DISC
+        assert classify(-0.5) is Region.INSIDE_DISC
+        assert classify(1 - 5e-7) is Region.NEAR_ONE
 
     def test_exterior_negative_real(self):
-        b = classify(-2.0)
-        assert b.region is Region.EXTERIOR_REAL_LINE
-        # w-convention: phi = arg(ln(-2)) = arg(ln 2 + i pi) > 0
-        assert b.sgn_phi == 1
-        assert b.phi > 0
+        assert classify(-2.0) is Region.EXTERIOR_NEGATIVE_REAL
+        assert classify(-3.0) is Region.EXTERIOR_NEGATIVE_REAL
+        assert classify(-(1 + 5e-7)) is Region.BAND_OUTSIDE
 
     def test_exterior_cut(self):
-        b = classify(3.0)
-        assert b.region is Region.EXTERIOR_REAL_LINE
-        assert b.sgn_phi == 0
+        assert classify(3.0) is Region.CUT
+        assert classify(1 + 2e-6) is Region.CUT
 
     def test_special_points(self):
-        assert classify(0.0).region is Region.ZERO
-        assert classify(1.0).region is Region.ONE
-        assert classify(cmath.exp(1j)).region is Region.UNIT_CIRCLE
+        assert classify(0.0) is Region.INSIDE_DISC
+        for z in (1.0, 1 + 5e-13, 1 - 5e-13, 1 + 1e-13j):
+            assert classify(z) is Region.ONE
+        assert classify(1.0000005) is Region.NEAR_ONE
 
-    def test_phi_in_half_plane_inside_disc(self):
-        for z in (0.3 + 0.4j, -0.2 + 0.1j, 0.9j, 0.6 - 0.5j):
-            b = classify(z)
-            assert -math.pi / 2 < b.phi < math.pi / 2
+    def test_every_region_has_a_row_or_a_refusal(self):
+        for region in Region:
+            row = _ROUTE_TABLE[region]
+            assert row.routes or row.refusal, region
+            assert set(row.routes) <= set(ROUTES), region
+
+    def test_phi_answers_by_a_route_of_its_row(self):
+        for z, n, a, tol in dispatcher_grid():
+            try:
+                res = phi(z, n, a, tol)
+            except ToleranceNotMet as exc:
+                res = exc.result
+            row = _ROUTE_TABLE[classify(z)]
+            name = res.method.removesuffix(" (degraded)")
+            assert name in row.routes, (z, n, a)
+            assert row.degraded or name == res.method, (z, n, a)
+
+    @pytest.mark.parametrize("z, n, text", [
+        (1.0000005, 2, "within 1e-06 of the singular point z = 1"),
+        (3.0, 2, "on the singular cut (1, oo)"),
+        (1 + 5e-13, 1, "singular stratum z=1, n=1"),
+    ])
+    def test_phi_raises_the_refusal_of_its_row(self, z, n, text):
+        with pytest.raises(DomainError) as info:
+            phi(z, n, 0.5)
+        assert text in str(info.value)
+
+    def test_one_is_served_at_z_equal_to_1(self):
+        assert phi(1 + 5e-13, 2, 0.3) == phi_series(1.0, 2, 0.3)
 
 
 class TestPhiSeries:

@@ -1,5 +1,6 @@
-"""The CLI examples in README.md run and exit 0."""
+"""The README's CLI examples exit 0, and its Python quick start runs."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -32,3 +33,18 @@ def test_readme_has_commands():
 def test_readme_command_exits_0(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == cli.EXIT_OK, capsys.readouterr().err
+
+
+def test_readme_quick_start_runs(capsys):
+    """The Python quick start runs, and each print whose comment is a quoted
+    string prints that string."""
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```",
+                      README.read_text(), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(prints)
+    for line, out in zip(prints, printed):
+        comment = line.partition("#")[2].strip()
+        if comment[:1] in ("'", '"'):
+            assert out == ast.literal_eval(comment), line
