@@ -140,19 +140,18 @@ def _cpow(base: complex, expo: complex) -> complex:
 
 def classify(z: complex) -> Region:
     """The region of z; phi serves it with the routes of its table row."""
-    z = complex(z)
     r = abs(z)
     if r <= 1.0 - _CIRCLE_BAND:
         return Region.INSIDE_DISC
+    if r >= 1.0 + _CIRCLE_BAND:
+        if _is_real(z):
+            return Region.CUT if z.real > 0 else Region.EXTERIOR_NEGATIVE_REAL
+        return Region.EXTERIOR
     if abs(z - 1.0) <= 1e-12:
         return Region.ONE
     if _on_positive_real_axis(z):
-        return Region.CUT if r >= 1.0 + _CIRCLE_BAND else Region.NEAR_ONE
-    if r < 1.0:
-        return Region.BAND_INSIDE
-    if r < 1.0 + _CIRCLE_BAND:
-        return Region.BAND_OUTSIDE
-    return Region.EXTERIOR_NEGATIVE_REAL if _is_real(z) else Region.EXTERIOR
+        return Region.NEAR_ONE
+    return Region.BAND_INSIDE if r < 1.0 else Region.BAND_OUTSIDE
 
 
 # ---------------------------------------------------------------------------
