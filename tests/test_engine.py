@@ -102,19 +102,6 @@ class TestClassify:
             assert name in row.routes, (z, n, a)
             assert row.degraded or name == res.method, (z, n, a)
 
-    @pytest.mark.parametrize("z, n, text", [
-        (1.0000005, 2, "within 1e-06 of the singular point z = 1"),
-        (3.0, 2, "on the singular cut (1, oo)"),
-        (1 + 5e-13, 1, "singular stratum z=1, n=1"),
-    ])
-    def test_phi_raises_the_refusal_of_its_row(self, z, n, text):
-        with pytest.raises(DomainError) as info:
-            phi(z, n, 0.5)
-        assert text in str(info.value)
-
-    def test_one_is_served_at_z_equal_to_1(self):
-        assert phi(1 + 5e-13, 2, 0.3) == phi_series(1.0, 2, 0.3)
-
 
 class TestPhiSeries:
     def test_only_first_term_survives_at_zero(self):
@@ -382,12 +369,18 @@ class TestDispatcher:
     def test_singular_stratum(self):
         with pytest.raises(DomainError, match="singular stratum z=1, n=1"):
             phi(1.0, 1, 0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="singular stratum z=1, n=1"):
+            phi(1 + 5e-13, 1, 0.5)
+        with pytest.raises(DomainError, match="singular cut"):
             phi(3.0, 2, 0.5)
+        with pytest.raises(DomainError, match="within 1e-06 of the singular"):
+            phi(1.0000005, 2, 0.5)
 
     def test_z_one_higher_order_allowed(self):
         res = phi(1.0, 2, 0.3)
         assert abs(res.value - complex(mp.zeta(2, 0.3))) < 1e-10
+        # within 1e-12 of 1 the series is summed at z = 1 exactly
+        assert phi(1 + 5e-13, 2, 0.3) == res
 
     def test_near_circle_degrades_honestly(self):
         res = phi(cmath.exp(2j) * (1 + 1e-7), 2, 0.4)
