@@ -425,20 +425,19 @@ def extended_polylog(z: complex, n: int, a: complex, tol: float = 1e-10) -> Eval
 class _Row(NamedTuple):
     """phi's row for a region: the ROUTES names it tries in order (a route
     that refuses with DomainError passes the point on), the DomainError text
-    when all refuse (else the last refusal stands), whether a result goes
-    through degrade, and the point the routes get if not z."""
+    when all refuse (else the last refusal stands), and whether a result
+    goes through degrade."""
 
     routes: tuple
     refusal: str = ""
     degraded: bool = False
-    at: complex | None = None
 
 
 _ROUTE_TABLE = {
     Region.INSIDE_DISC: _Row(("series",)),
     Region.BAND_INSIDE: _Row(("series",), degraded=True),
     Region.BAND_OUTSIDE: _Row(("inverse", "integer-a"), degraded=True),
-    Region.ONE: _Row(("series",), "singular stratum z=1, n=1", at=1.0 + 0j),
+    Region.ONE: _Row(("series",), "singular stratum z=1, n=1"),
     Region.NEAR_ONE: _Row(
         (), f"z = {{z}} within {_CIRCLE_BAND:g} of the singular point z = 1"),
     Region.EXTERIOR: _Row(("inverse", "integer-a")),
@@ -459,13 +458,12 @@ def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     z, a = _validate(z, n, a, tol)
     require_off_nonpositive_poles(a)
     row = _ROUTE_TABLE[classify(z)]
-    point = z if row.at is None else row.at
     refused = None
     for name in row.routes:
         try:
             if row.degraded:
-                return degrade(ROUTES[name], point, n, a, tol)
-            return ROUTES[name](point, n, a, tol)
+                return degrade(ROUTES[name], z, n, a, tol)
+            return ROUTES[name](z, n, a, tol)
         except DomainError as exc:
             refused = exc
     if row.refusal:

@@ -1,10 +1,11 @@
 """Error-controlled integration along complex rays.
 
 Adaptive 7-15 Gauss-Kronrod panels on the ray arg(t) = phi, truncated where
-an exponential decay bound certifies the tail.  Cauchy principal values with
-one simple on-ray pole are computed by folding a symmetric window about the
-pole, which realizes the symmetric limit exactly and keeps the integrand
-bounded.
+an exponential decay bound certifies the tail.  Each adaptive piece starts
+from _START_PANELS equal panels and bisects where the error is, as QUADPACK's
+qag does.  Cauchy principal values with one simple on-ray pole are computed
+by folding a symmetric window about the pole, which realizes the symmetric
+limit exactly and keeps the integrand bounded.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ _WG = (0.1294849661688697, 0.2797053914892767, 0.3818300505051189)
 _WG_CENTER = 0.4179591836734694
 
 _MAX_PANELS = 2500
+_START_PANELS = 4
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,12 @@ def _gk_panel(fun, lo: float, hi: float):
     return h * k15, err
 
 
-def _adaptive(fun, lo, hi, tol, abs_target=None, init_panels=8):
+def _adaptive(fun, lo, hi, tol, abs_target=None):
     """Adaptive bisection until sum of panel errors meets the target.
 
-    Target is abs_target when given, else the mixed tol * max(1, |total|).
+    Starts from _START_PANELS equal panels on [lo, hi], whatever its length,
+    and bisects the worst panel while the summed estimate misses the target:
+    abs_target when given, else the mixed tol * max(1, |total|).
     Returns (value, err, nevals, converged); the final value is re-summed in
     panel order for reproducibility.
     """
@@ -109,16 +113,16 @@ def _adaptive(fun, lo, hi, tol, abs_target=None, init_panels=8):
     heap = []
     total_err = 0.0
     total_val = 0j
-    width = (hi - lo) / init_panels
-    for i in range(init_panels):
+    width = (hi - lo) / _START_PANELS
+    for i in range(_START_PANELS):
         a = lo + i * width
-        b = hi if i == init_panels - 1 else lo + (i + 1) * width
+        b = hi if i == _START_PANELS - 1 else lo + (i + 1) * width
         val, err = _gk_panel(fun, a, b)
         heapq.heappush(heap, (-err, counter, a, b, val, err))
         counter += 1
         total_err += err
         total_val += val
-    nevals = 15 * init_panels
+    nevals = 15 * _START_PANELS
     while True:
         target = abs_target if abs_target is not None else tol * max(
             1.0, abs(total_val)
@@ -177,10 +181,6 @@ def _truncation_point(f: RayIntegrand, tol: float, ray_fun) -> float:
     return t_cut
 
 
-def _init_panel_count(length: float) -> int:
-    return max(8, min(64, int(length / 2.5) + 1))
-
-
 def integrate_ray(f: RayIntegrand, tol: float) -> EvalResult:
     """Integral of a pole-free integrand over the full ray, tail included."""
     phase = cmath.exp(1j * f.ray_angle)
@@ -189,9 +189,7 @@ def integrate_ray(f: RayIntegrand, tol: float) -> EvalResult:
         return f.evaluate(u * phase) * phase
 
     t_cut = _truncation_point(f, tol, ray_fun)
-    value, err, nevals, ok = _adaptive(
-        ray_fun, 0.0, t_cut, 0.75 * tol, init_panels=_init_panel_count(t_cut)
-    )
+    value, err, nevals, ok = _adaptive(ray_fun, 0.0, t_cut, 0.75 * tol)
     err += 0.25 * tol  # certified tail remainder
     result = EvalResult(value, err, "ray", nevals)
     if not ok:
@@ -252,14 +250,12 @@ def pv_integrate_ray(f: RayIntegrand, pole: PoleSpec, tol: float) -> EvalResult:
     nevals = 45
     converged = True
     pieces = (
-        (ray_fun, 0.0, u0 - delta, _init_panel_count(u0 - delta)),
-        (folded, 0.0, delta, 4),
-        (ray_fun, u0 + delta, t_cut, _init_panel_count(t_cut - u0 - delta)),
+        (ray_fun, 0.0, u0 - delta),
+        (folded, 0.0, delta),
+        (ray_fun, u0 + delta, t_cut),
     )
-    for fun, lo, hi, init in pieces:
-        v, e, ne, ok = _adaptive(
-            fun, lo, hi, tol, abs_target=abs_target, init_panels=init
-        )
+    for fun, lo, hi in pieces:
+        v, e, ne, ok = _adaptive(fun, lo, hi, tol, abs_target=abs_target)
         value += v
         err += e
         nevals += ne

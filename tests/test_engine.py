@@ -379,8 +379,15 @@ class TestDispatcher:
     def test_z_one_higher_order_allowed(self):
         res = phi(1.0, 2, 0.3)
         assert abs(res.value - complex(mp.zeta(2, 0.3))) < 1e-10
-        # within 1e-12 of 1 the series is summed at z = 1 exactly
-        assert phi(1 + 5e-13, 2, 0.3) == res
+        # within 1e-12 of 1 the series sums zeta(n, a) and widens the
+        # estimate by the distance from z = 1
+        near = phi(1 + 5e-13, 2, 0.3)
+        assert near.value == res.value
+        assert near.err_estimate >= res.err_estimate + 20 * 5e-13
+
+    def test_z_near_one_estimate_bounds_the_error(self):
+        res = phi(1 - 5e-13, 2, 0.5)
+        assert abs(res.value - mp_ref(1 - 5e-13, 2, 0.5)) <= res.err_estimate
 
     def test_near_circle_degrades_honestly(self):
         res = phi(cmath.exp(2j) * (1 + 1e-7), 2, 0.4)
@@ -449,8 +456,9 @@ def dispatcher_grid(seed=0):
     for off in (0, 0, 4e-9, 3e-9j):  # integer and near-integer shifts
         points.append((polar(rng.uniform(1.2, 5.0)), rng.randint(1, 4),
                        rng.randint(1, 4) + off, tol))
-    for n in (2, 3):  # z = 1
-        points.append((1.0 + 0j, n, complex(rng.uniform(0.2, 2.0)), tol))
+    for n in (2, 3):  # z = 1, and within 1e-12 of it
+        for z in (1.0 + 0j, 1 - 5e-13, 1 + 1e-13j):
+            points.append((z, n, complex(rng.uniform(0.2, 2.0)), tol))
     return points
 
 

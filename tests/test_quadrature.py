@@ -4,9 +4,12 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 import scipy.integrate
 
+from lerchphi.cli import _sample_disc_z
+from lerchphi.engine import phi_integral, phi_pv
 from lerchphi.errors import DomainError, PoleOffRay, ToleranceNotMet
 from lerchphi.quadrature import (
     PoleSpec,
@@ -152,3 +155,54 @@ class TestPrincipalValue:
             pv_integrate_ray(
                 real_ray(lambda t: 1.0, 1.0), PoleSpec(1.0, order=2), 1e-8
             )
+
+
+def theorem1_points(seed, count):
+    """(z, n, a) drawn by the rule of `lerchphi check --suite theorem1`,
+    where the integral and the principal value both apply; n cycles 2, 3, 1."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        z = _sample_disc_z(rng)
+        a = complex(rng.uniform(0.5, 0.85), rng.uniform(-0.35, 0.35))
+        if ((a - 1) * cmath.exp(1j * cmath.phase(-cmath.log(z)))).real > -0.2:
+            continue
+        points.append((z, 1 + (len(points) + 1) % 3, a))
+    return points
+
+
+def carried(route, z, n, a, tol):
+    """The route's result, or the one its ToleranceNotMet carries."""
+    try:
+        return route(z, n, a, tol)
+    except ToleranceNotMet as exc:
+        return exc.result
+
+
+# Work gates: nodes may fall, never rise, as the quadrature changes.
+@pytest.mark.parametrize("call, ceiling", [
+    (lambda: phi_integral(0.999 * cmath.exp(0.7j), 2, 0.3 + 0.1j), 270),
+    (lambda: phi_pv(0.5 * cmath.exp(0.7j), 3, 0.75), 615),
+], ids=["integral_r0.999", "pv_n3"])
+def test_probe_work(call, ceiling):
+    assert call().terms_or_nodes <= ceiling
+
+
+@pytest.mark.parametrize("route, ceiling", [
+    (phi_integral, 9150),
+    (phi_pv, 31320),
+], ids=["integral", "pv"])
+def test_theorem1_work(route, ceiling):
+    work = sum(carried(route, z, n, a, 1e-10).terms_or_nodes
+               for z, n, a in theorem1_points(0, 50))
+    assert work <= ceiling
+
+
+def test_estimates_bound_the_error_on_theorem1_points():
+    for i, (z, n, a) in enumerate(theorem1_points(1, 60)):
+        tol = (1e-8, 1e-10)[i % 2]
+        with mpmath.workdps(30):
+            ref = complex(mpmath.lerchphi(z, n, a))
+        for route in (phi_integral, phi_pv):
+            res = carried(route, z, n, a, tol)
+            assert abs(res.value - ref) <= res.err_estimate, (route, z, n, a)
