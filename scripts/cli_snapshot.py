@@ -67,6 +67,16 @@ INVALID = {
     "negative-tol-integer-a": ["--z", "0,2", "--n", "2", "--a", "2,0",
                                "--tol=-1", "--method", "integer-a"],
 }
+# the trigonometric term at large order, and the negative real axis where
+# the integral route refuses n >= 172
+LARGE_ORDER = {
+    "n171": ["--z", "0,3", "--n", "171", "--a", "0.5,0"],
+    "negative-real-n200": ["--z=-3,0", "--n", "200", "--a", "0.5,0"],
+    "n200-integer-a": ["--z", "0,3", "--n", "200", "--a", "2,0",
+                       "--method", "integer-a"],
+    "n64-inverse": ["--z", "0,3", "--n", "64", "--a", "0.3,0.2",
+                    "--method", "inverse"],
+}
 SUITES = ("symmetry", "recurrences", "reflections", "theorem1")
 
 
@@ -117,6 +127,8 @@ def commands():
     ]
     cmds += [(f"eval-{case}", ["eval", *flags])
              for case, flags in INVALID.items()]
+    cmds += [(f"eval-{case}", ["eval", *flags])
+             for case, flags in LARGE_ORDER.items()]
     return cmds
 
 

@@ -41,11 +41,10 @@ from .identities import (
 from .quadrature import PoleSpec, RayIntegrand, integrate_ray, pv_integrate_ray
 from .result import EvalResult
 from .special_functions import (
-    CotDerivPolynomial,
     bernoulli,
-    cot_deriv_polynomial,
     cot_pi,
     cot_pi_derivative,
+    cot_pi_taylor,
     hurwitz_zeta,
     polygamma,
     polylog,

@@ -7,6 +7,11 @@ the circle, and the Laurent finite-part route for integer shifts.  All
 powers use the principal logarithm, arg in (-pi, pi], which is what makes
 the sign of phi = arg(-ln z) meaningful.  The dispatcher phi tries the
 routes of the row of _ROUTE_TABLE that classify(z) picks.
+
+The trigonometric side of the symmetry relation, in pv, inverse and
+symmetry_transform, and the integer-shift finite part are one quantity, a
+Taylor coefficient of e^(eps L) (cot(pi (a + eps)) + const), taken by the
+one helper _cot_term; no trigonometric term forms (n-1)!.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import comb, factorial
+from math import factorial
 from typing import NamedTuple
 
 from .errors import (
@@ -31,7 +36,7 @@ from .special_functions import (
     _hurwitz_zeta_sum,
     _polylog_sum,
     _power_sum,
-    cot_pi_derivatives,
+    cot_pi_taylor,
     dist_to_nearest_integer,
     require_off_nonpositive_poles,
 )
@@ -138,6 +143,37 @@ def _cpow(base: complex, expo: complex) -> complex:
     return cmath.exp(expo * cmath.log(base))
 
 
+def _quadrature_scale(n: int, route: str) -> float:
+    """float((n-1)!), which the quadrature routes divide by; DomainError for
+    n >= 172, where it is beyond the double range."""
+    if n > 171:
+        raise DomainError(
+            f"{route} needs n <= 171, where (n-1)! is within the double "
+            f"range; got n = {n}"
+        )
+    return float(factorial(n - 1))
+
+
+def _cot_term(n: int, L: complex, coeffs, low: int = 0,
+              extra0: complex = 0j) -> complex:
+    """The eps^(n-1) coefficient of e^(eps L) (sum_j coeffs[j] eps^(j+low)
+    + extra0): sum_k L^k/k! coeffs[n-1-k-low], with extra0 joining the
+    eps^0 coefficient.  With coeffs = cot_pi_taylor(n - 1, a) it is
+    e^(-a L)/(n-1)! d^(n-1)/da^(n-1) [e^(a L) (cot(pi a) + extra0)], the
+    trigonometric side of the symmetry relation without pi e^(a L); with
+    the Laurent coefficients of cot(pi eps) (low = -1) it is the finite
+    part of the integer-shift limit."""
+    total = 0j
+    power = 1.0 + 0j  # L^k / k!
+    for k in range(n - low):
+        coef = coeffs[n - 1 - k - low]
+        if k == n - 1:
+            coef += extra0
+        total += power * coef
+        power = power * L / (k + 1)
+    return total
+
+
 def classify(z: complex) -> Region:
     """The region of z; phi serves it with the routes of its table row."""
     r = abs(z)
@@ -191,6 +227,7 @@ def phi_series(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult
 def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     """(1/(n-1)!) * integral over t in [0, oo) of t^(n-1) e^(-a t) / (1 - z e^(-t))."""
     z, a = _validate(z, n, a, tol)
+    g = _quadrature_scale(n, "integral route")
     if a.real <= 0:
         raise DomainError(f"integral route needs Re a > 0, got {a}")
     if _is_real(z) and z.real >= 1.0 - 1e-14:
@@ -204,7 +241,6 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
         res, stall = integrate_ray(ray, tol), None
     except ToleranceNotMet as exc:
         res, stall = exc.result, exc
-    g = float(factorial(n - 1))
     result = EvalResult(res.value / g, res.err_estimate / g, "integral",
                         res.terms_or_nodes)
     if stall is not None:
@@ -215,23 +251,11 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
 # ---------------------------------------------------------------------------
 # Route 3: principal-value ray representation inside the cut disc
 
-def _leibniz_cot_sum(n: int, log_factor: complex, a: complex,
-                     extra0: complex = 0j) -> complex:
-    """sum_j C(n-1, j) log_factor^(n-1-j) * d^j/da^j cot(pi a), with an
-    optional constant added to the j = 0 derivative (for the -sgn(phi) i
-    terms, whose higher derivatives vanish)."""
-    derivs = cot_pi_derivatives(n - 1, a)
-    derivs[0] += extra0
-    total = 0j
-    for j, deriv in enumerate(derivs):
-        total += comb(n - 1, j) * log_factor ** (n - 1 - j) * deriv
-    return total
-
-
 def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     """Principal-value representation: (-1)^(n-1)/(n-1)! * {PV integral along
     arg t = phi with pole at -ln z, plus pi * d^(n-1)/da^(n-1) (z^-a cot(pi a))}."""
     z, a = _validate(z, n, a, tol)
+    g = _quadrature_scale(n, "principal-value route")
     r = abs(z)
     if not 0.0 < r < 1.0 or (_is_real(z) and z.real < 0):
         raise DomainError(
@@ -262,11 +286,9 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
         pv, stall = pv_integrate_ray(ray, PoleSpec(t0), tol), None
     except ToleranceNotMet as exc:
         pv, stall = exc.result, exc
-    trig = math.pi * _cpow(z, -a) * _leibniz_cot_sum(n, t0, a)
-    g = float(factorial(n - 1))
-    sign = (-1.0) ** (n - 1)
-    value = sign * (pv.value + trig) / g
-    err = pv.err_estimate / g + 5e-16 * (n + 1) * abs(trig) / g
+    trig = math.pi * _cpow(z, -a) * _cot_term(n, t0, cot_pi_taylor(n - 1, a))
+    value = (-1.0) ** (n - 1) * (pv.value / g + trig)
+    err = pv.err_estimate / g + 5e-16 * (n + 1) * abs(trig)
     result = EvalResult(value, err, "pv", pv.terms_or_nodes)
     if stall is not None:
         raise ToleranceNotMet(f"principal-value route: {stall}", result) from stall
@@ -280,7 +302,10 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
     """Convergent expansion of Phi(w, n, b) in powers of 1/w:
 
     pi/(n-1)! [d^(n-1)/dt^(n-1) (w^t (sgn(phi) i - cot(pi t)))]_(t = -b)
-    - sum_{m>=1} w^(-m) / (b - m)^n.
+    - sum_{m>=1} w^(-m) / (b - m)^n,
+
+    whose first term is -pi w^-b _cot_term(n, log w, cot_pi_taylor(n - 1,
+    -b), extra0=-sgn(phi) i).
     """
     w, b = _validate(w, n, b, tol)
     log_w, sgn = _exterior_log(w, "inverse-argument expansion")
@@ -292,9 +317,8 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
         )
     require_off_nonpositive_poles(b)
 
-    # Leibniz expansion of d^(n-1)/dt^(n-1) (w^t (sgn i - cot(pi t))) at t = -b
-    total = -_leibniz_cot_sum(n, log_w, -b, extra0=-sgn * 1j)
-    trig = math.pi / factorial(n - 1) * _cpow(w, -b) * total
+    trig = -math.pi * _cpow(w, -b) * _cot_term(
+        n, log_w, cot_pi_taylor(n - 1, -b), extra0=-sgn * 1j)
 
     winv = 1.0 / w
     abs_b = abs(b)
@@ -320,18 +344,14 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
 # ---------------------------------------------------------------------------
 # Route 5: integer shift b = N via the Laurent finite part
 
-def _integer_shift_limit(n: int, log_w: complex) -> complex:
-    """lim_{eps -> 0} { pi/(n-1)! d^(n-1)/d eps^(n-1) (-w^eps cot(pi eps))
-    - (-1)^n / eps^n }: the eps^(n-1) coefficient of w^eps cot(pi eps) times
-    -pi, i.e. -pi sum_{k=0..n} L^k/k! c_(n-1-k) with L = log w and c_j the
-    Laurent coefficients of cot(pi eps).  The pole term cancels exactly."""
-    c = _cot_pi_laurent(n - 1)  # c[j + 1] = c_j
-    total = 0j
-    power = 1.0 + 0j  # L^k / k!
-    for k in range(n + 1):
-        total += power * c[n - k]
-        power = power * log_w / (k + 1)
-    return -math.pi * total
+def _integer_shift_limit(n: int, log_w: complex, extra0: complex = 0j) -> complex:
+    """lim_{eps -> 0} { pi/(n-1)! d^(n-1)/d eps^(n-1) (-w^eps (cot(pi eps)
+    + extra0)) - (-1)^n / eps^n }: the eps^(n-1) coefficient of
+    w^eps (cot(pi eps) + extra0) times -pi, i.e. -pi sum_{k=0..n} L^k/k!
+    c_(n-1-k) - pi L^(n-1)/(n-1)! extra0 with L = log w and c_j the Laurent
+    coefficients of cot(pi eps).  The pole term cancels exactly."""
+    return -math.pi * _cot_term(n, log_w, _cot_pi_laurent(n - 1), low=-1,
+                                extra0=extra0)
 
 
 def phi_integer_a(w: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
@@ -347,19 +367,14 @@ def phi_integer_a(w: complex, n: int, a: complex, tol: float = 1e-10) -> EvalRes
             f"a positive integer, got a = {a}"
         )
     log_w, sgn = _exterior_log(w, "integer-shift route")
-    g = factorial(n - 1)
-    finite_part = _integer_shift_limit(n, log_w)
+    finite_part = _integer_shift_limit(n, log_w, extra0=-sgn * 1j)
     li_val, li_err, li_terms = _polylog_sum(n, 1.0 / w, 0.25 * tol)
     # w^-N sum_{k=1}^{N-1} w^k / k^n, summed as sum_{j=1}^{N-1} w^-j / (N-j)^n
     # so that no power of w overflows for large N
     shift = 0j
     if N > 1:
         shift, _, _ = _power_sum(1.0 / w, float(N), -1, n, 1, N, N, 0.0, 0.0)
-    inner = (
-        finite_part
-        + sgn * 1j * math.pi * log_w ** (n - 1) / g
-        - (-1.0) ** n * li_val
-    )
+    inner = finite_part - (-1.0) ** n * li_val
     w_neg_n = w ** (-N)
     value = w_neg_n * inner - shift
     err = (abs(w_neg_n) * (li_err + 2e-15 * (abs(inner) + 1.0))
@@ -398,13 +413,8 @@ def symmetry_transform(z: complex, n: int, a: complex):
         raise PoleAtInteger(f"symmetry relation has poles at integer a = {a}")
     t0 = -cmath.log(z)
     sgn = 1 if cmath.phase(t0) > 0 else -1
-    trig = (
-        math.pi
-        * (-1.0) ** (n - 1)
-        / factorial(n - 1)
-        * _cpow(z, -a)
-        * _leibniz_cot_sum(n, t0, a, extra0=-sgn * 1j)
-    )
+    trig = (math.pi * (-1.0) ** (n - 1) * _cpow(z, -a)
+            * _cot_term(n, t0, cot_pi_taylor(n - 1, a), extra0=-sgn * 1j))
     return LerchQuery(1.0 / z, n, 1.0 - a), trig
 
 

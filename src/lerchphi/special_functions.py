@@ -1,9 +1,10 @@
 """Auxiliary special functions feeding the Lerch evaluation routes.
 
-Exact rational machinery (Bernoulli numbers, the polynomials giving the
-derivatives of cot(pi a)) lives next to the floating-point summations
-(polylogarithm, Hurwitz zeta, polygamma) so that the identity checks can
-pit independent computations against each other.  Every power sum, here
+Exact Bernoulli numbers, the Taylor coefficients of cot(pi (a + eps)) from
+one float recurrence and the Laurent coefficients of cot(pi eps) from
+zeta(2k) live next to the floating-point summations (polylogarithm,
+Hurwitz zeta, polygamma) so that the identity checks can pit independent
+computations against each other.  Every power sum, here
 and in the routes, runs through the one compensated kernel _power_sum.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -27,9 +27,8 @@ from .result import EvalResult
 __all__ = [
     "bernoulli",
     "tan_series_coeff",
-    "CotDerivPolynomial",
-    "cot_deriv_polynomial",
     "cot_pi",
+    "cot_pi_taylor",
     "cot_pi_derivative",
     "cot_pi_derivatives",
     "polylog",
@@ -41,10 +40,11 @@ __all__ = [
 # Refusal radius around the poles a = 0, -1, -2, ... shared by every route.
 POLE_GUARD = 1e-8
 
-# At and above this |Im a| the derivatives of cot(pi a) come from the
-# q-expansion: the polynomial in c = cot(pi a) cancels near c = -+i, losing
-# relative accuracy like e^(2 pi |Im a|), and sin(pi a) overflows beyond
-# |Im a| ~ 226.  Both forms hold 1e-13 relative at the switch (see
+# At and above this |Im a| the Taylor coefficients of cot(pi a) are seeded
+# from the q-expansion, below it from sin and cos.  Both seeds are needed:
+# sin(pi a) overflows beyond |Im a| ~ 226, while u = q / (1 - q) loses
+# relative accuracy for real a near an integer (4e-10 at a = 1e-8, where
+# sin and cos give 1e-16).  Both hold 1e-13 relative at the switch (see
 # tests/test_special_functions.py).
 _Q_EXPANSION_IM = 0.2
 
@@ -183,8 +183,9 @@ _cot_laurent: list[float] = []
 
 def _cot_pi_laurent(order: int) -> list[float]:
     """[c_-1, c_0, ..., c_order] with cot(pi eps) = sum_j c_j eps^j:
-    c_-1 = 1/pi, the even c_j vanish and c_(2k-1) = -2^(2k) |B_2k| / (2k)!
-    pi^(2k-1).  The returned list is shared; do not modify it."""
+    c_-1 = 1/pi, the even c_j vanish and c_(2k-1) = -2 zeta(2k) / pi, which
+    stays near -2/pi for every k.  The returned list is shared; do not
+    modify it."""
     while len(_cot_laurent) < order + 2:
         d = len(_cot_laurent) - 1
         if d == -1:
@@ -192,121 +193,72 @@ def _cot_pi_laurent(order: int) -> list[float]:
         elif d % 2 == 0:
             _cot_laurent.append(0.0)
         else:
-            k = (d + 1) // 2
-            frac = Fraction(2 ** (2 * k)) * abs(bernoulli(2 * k)) / factorial(2 * k)
-            _cot_laurent.append(-float(frac) * math.pi ** (2 * k - 1))
+            zeta, _, _ = _hurwitz_zeta_sum(d + 1, 1.0)
+            _cot_laurent.append(-2.0 * zeta.real / math.pi)
     return _cot_laurent
 
 
 # ---------------------------------------------------------------------------
-# Derivatives of cot(pi a) as polynomials in c = cot(pi a)
+# Taylor coefficients of cot(pi (a + eps))
 
-@dataclass(frozen=True)
-class CotDerivPolynomial:
-    """d^j/da^j cot(pi a) = pi^j * sum_k coeffs[k] c^k with c = cot(pi a).
+def _cot_pi_seed(a: complex) -> tuple[complex, complex]:
+    """(cot(pi a), -pi / sin^2(pi a)), the first two Taylor coefficients,
+    from sin and cos of the reduced ar = a - round(Re a) below
+    _Q_EXPANSION_IM, and from the q-expansion above it: with
+    q = e^(2 pi i ar) and u = q / (1 - q), Im ar > 0,
 
-    Coefficients are exact integers; the recurrence Q_{j+1} = -(1 + c^2) Q_j'
-    (equivalently P_{j+1} = -pi (1 + c^2) P_j' with P_j = pi^j Q_j) holds
-    exactly, starting from Q_0 = c.
-    """
+        cot(pi a) = -i (1 + 2u),  1 / sin^2(pi a) = -4u (1 + u);
 
-    degree: int
-    coeffs: tuple[int, ...]
-
-    def evaluate(self, c: complex) -> complex:
-        acc = 0j
-        for coef in reversed(self.coeffs):
-            acc = acc * c + coef
-        return acc * math.pi ** self.degree
-
-
-_cot_poly_cache: list[CotDerivPolynomial] = [CotDerivPolynomial(0, (0, 1))]
-
-
-def cot_deriv_polynomial(j: int) -> CotDerivPolynomial:
-    """The j-th derivative of cot(pi a) in polynomial form."""
-    if j < 0:
-        raise ValueError("derivative order must be >= 0")
-    while len(_cot_poly_cache) <= j:
-        prev = _cot_poly_cache[-1].coeffs
-        dprev = tuple(k * prev[k] for k in range(1, len(prev)))
-        nxt = [0] * (len(dprev) + 2)
-        for k, coef in enumerate(dprev):
-            nxt[k] -= coef
-            nxt[k + 2] -= coef
-        _cot_poly_cache.append(
-            CotDerivPolynomial(len(_cot_poly_cache), tuple(nxt))
-        )
-    return _cot_poly_cache[j]
-
-
-# Rows of m! S(j, m), the coefficients of sum_{k>=1} k^j q^k as a polynomial
-# in u = q / (1 - q); row j + 1 follows from u (1 + u) d/du of row j.
-_q_rows: list[tuple[int, ...]] = [(0, 1)]
-
-
-def _q_row(j: int) -> tuple[int, ...]:
-    while len(_q_rows) <= j:
-        prev = _q_rows[-1]
-        nxt = [0] * (len(prev) + 1)
-        for m in range(1, len(prev)):
-            nxt[m] += m * prev[m]
-            nxt[m + 1] += m * prev[m]
-        _q_rows.append(tuple(nxt))
-    return _q_rows[j]
-
-
-def _cot_pi_q(jmax: int, ar: complex) -> list[complex]:
-    """d^j/da^j cot(pi a), j = 0..jmax, for reduced ar = a - round(Re a) off
-    the real axis, from the q-expansion
-
-        cot(pi a) = -i (1 + 2 sum_{k>=1} q^k),  q = e^(2 pi i a),  Im a > 0,
-
-    so d^j cot(pi a) = -2i (2 pi i)^j sum_k k^j q^k for j >= 1.  The sums are
-    taken in closed form, sum_m m! S(j, m) u^m with u = q / (1 - q): exact,
-    and free of the cancellation near c = -i.  Im a < 0 is the conjugate.
-    """
-    flip = ar.imag < 0
-    if flip:
-        ar = ar.conjugate()
-    q = cmath.exp(_TWO_PI_I * ar)
-    u = q / (1.0 - q)
-    out = [-1j * (1.0 + 2.0 * u)]
-    scale = -2j
-    for j in range(1, jmax + 1):
-        scale *= _TWO_PI_I
-        acc = 0j
-        for coef in reversed(_q_row(j)):
-            acc = acc * u + coef
-        out.append(scale * acc)
-    return [v.conjugate() for v in out] if flip else out
+    Im ar < 0 is the conjugate."""
+    a = complex(a)
+    ar = a - round(a.real)
+    if abs(ar.imag) >= _Q_EXPANSION_IM:
+        flip = ar.imag < 0
+        q = cmath.exp(_TWO_PI_I * (ar.conjugate() if flip else ar))
+        u = q / (1.0 - q)
+        e0 = -1j * (1.0 + 2.0 * u)
+        e1 = 4.0 * math.pi * u * (1.0 + u)
+        return (e0.conjugate(), e1.conjugate()) if flip else (e0, e1)
+    s = cmath.sin(math.pi * ar)
+    if s == 0:
+        raise PoleAtInteger(f"cot(pi a) pole at a = {a}")
+    return cmath.cos(math.pi * ar) / s, -math.pi / (s * s)
 
 
 def cot_pi(a: complex) -> complex:
     """cot(pi a) for complex a, with argument reduction a -> a - round(Re a)."""
-    a = complex(a)
-    ar = a - round(a.real)
-    if abs(ar.imag) >= _Q_EXPANSION_IM:
-        return _cot_pi_q(0, ar)[0]
-    s = cmath.sin(math.pi * ar)
-    if s == 0:
-        raise PoleAtInteger(f"cot(pi a) pole at a = {a}")
-    return cmath.cos(math.pi * ar) / s
+    return _cot_pi_seed(a)[0]
 
 
-def cot_pi_derivatives(jmax: int, a: complex) -> list[complex]:
-    """[d^j/da^j cot(pi a) for j = 0..jmax], in one pass: the polynomials in
-    c = cot(pi a) for |Im a| < _Q_EXPANSION_IM, the q-expansion above."""
-    if jmax < 0:
+def cot_pi_taylor(m: int, a: complex) -> list[complex]:
+    """[e_0, ..., e_m] with cot(pi (a + eps)) = sum_j e_j eps^j.
+
+    e_0 and e_1 come from _cot_pi_seed; the rest from cot' = -pi (1 + cot^2),
+    (j + 1) e_(j+1) = -pi sum_{i=0..j} e_i e_(j-i) for j >= 1, in floats."""
+    if m < 0:
         raise ValueError("derivative order must be >= 0")
     a = complex(a)
     if dist_to_nearest_integer(a) <= 1e-12:
         raise PoleAtInteger(f"cot(pi a) derivative requested at a = {a} (integer pole)")
-    ar = a - round(a.real)
-    if abs(ar.imag) >= _Q_EXPANSION_IM:
-        return _cot_pi_q(jmax, ar)
-    c = cot_pi(a)
-    return [cot_deriv_polynomial(j).evaluate(c) for j in range(jmax + 1)]
+    e = list(_cot_pi_seed(a))
+    for j in range(1, m):
+        # the sum is symmetric in i <-> j - i: twice its lower half
+        half = e[j // 2] * e[j // 2] if j % 2 == 0 else 0j
+        acc = 0j
+        for i in range((j + 1) // 2):
+            acc += e[i] * e[j - i]
+        e.append(-math.pi * (2.0 * acc + half) / (j + 1))
+    return e[:m + 1]
+
+
+def cot_pi_derivatives(jmax: int, a: complex) -> list[complex]:
+    """[d^j/da^j cot(pi a) for j = 0..jmax] = j! e_j of cot_pi_taylor."""
+    out = cot_pi_taylor(jmax, a)
+    fact = 1.0
+    for j in range(1, jmax + 1):
+        fact *= j
+        out[j] *= fact
+    return out
 
 
 def cot_pi_derivative(j: int, a: complex) -> complex:

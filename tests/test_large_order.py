@@ -1,0 +1,86 @@
+"""Large orders n against an independent reference.
+
+The reference is a 30-digit mpmath quadrature of the integral representation
+
+    Phi(w, n, b) = int_0^oo t^(n-1)/(n-1)! e^(-b t) / (1 - w e^(-t)) dt,
+
+which is the library's continuation for every w off [1, oo).  The shift is
+first moved to Re b >= 1 with Phi(w, n, b) = sum_{m<k} w^m / (b+m)^n
++ w^k Phi(w, n, b+k), so that the integrand has one peak, at t = (n-1)/Re b.
+"""
+
+import cmath
+import math
+
+import mpmath
+import pytest
+
+from lerchphi import engine
+from lerchphi.errors import DomainError, LerchError
+
+TOL = 1e-10
+ORDERS = (16, 32, 64, 120, 171, 200)
+ARGUMENTS = (3j, 5 * cmath.exp(0.7j), -4 + 1j, 1.3 * cmath.exp(2.5j))
+SHIFTS = (0.5, 0.3 + 0.2j, -1.5 + 0.5j)
+
+
+def reference(w, n, b):
+    with mpmath.workdps(30):
+        ww, bb = mpmath.mpc(w), mpmath.mpc(b)
+        k = max(0, math.ceil(1.0 - b.real))
+        head = mpmath.fsum(ww ** m / (bb + m) ** n for m in range(k))
+        c = bb + k
+        log_g = mpmath.loggamma(n)
+
+        def integrand(t):
+            # t^(n-1) / (n-1)! without forming either factor
+            return (mpmath.exp((n - 1) * mpmath.log(t) - log_g - c * t)
+                    / (1 - ww * mpmath.exp(-t)))
+
+        peak = (n - 1) / c.real
+        nodes = [0] + [f * peak for f in (0.25, 0.5, 1, 2, 4)] + [mpmath.inf]
+        return complex(head + ww ** k * mpmath.quad(integrand, nodes))
+
+
+def _assert_close(value, ref, bound=math.inf):
+    error = abs(value - ref)
+    assert error <= TOL * max(1.0, abs(ref)), (value, ref)
+    assert error <= bound, (error, bound)
+
+
+POINTS = [(w, n, b) for n in ORDERS for w in ARGUMENTS for b in SHIFTS]
+# the negative real axis, where the integral route refuses n >= 172
+POINTS.append((-3.0 + 0j, 200, 0.5))
+
+
+@pytest.mark.parametrize("w, n, b", POINTS)
+def test_phi_at_large_order(w, n, b):
+    res = engine.phi(w, n, b, TOL)
+    _assert_close(res.value, reference(w, n, b), res.err_estimate)
+
+
+@pytest.mark.parametrize("n", (120, 200, 700))
+@pytest.mark.parametrize("N", (2, 3))
+def test_integer_shift_at_large_order(N, n):
+    # the estimate is not checked: at large n it can miss by the same
+    # cancellation as the inverse route's near-integer shifts
+    for w in ARGUMENTS:
+        res = engine.phi_integer_a(w, n, N, TOL)
+        _assert_close(res.value, reference(w, n, complex(N)))
+
+
+def test_quadrature_routes_refuse_beyond_the_double_factorial():
+    for route in (engine.phi_integral, engine.phi_pv):
+        with pytest.raises(DomainError, match="n <= 171"):
+            route(0.5j, 172, 0.5, TOL)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: engine.symmetry_transform(0.5j, 200, 0.3),
+    lambda: engine.phi_pv(0.5 * cmath.exp(0.7j), 171, 0.75, TOL),
+], ids=["symmetry_transform", "pv"])
+def test_trig_term_at_large_order_returns_or_refuses(call):
+    try:
+        call()
+    except LerchError:
+        pass

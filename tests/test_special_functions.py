@@ -16,14 +16,12 @@ from lerchphi.errors import (
     PoleAtNonPositiveInteger,
 )
 from lerchphi.special_functions import (
-    _Q_EXPANSION_IM,
     _cot_pi_laurent,
-    _cot_pi_q,
     bernoulli,
-    cot_deriv_polynomial,
     cot_pi,
     cot_pi_derivative,
     cot_pi_derivatives,
+    cot_pi_taylor,
     hurwitz_zeta,
     polygamma,
     polylog,
@@ -99,37 +97,6 @@ class TestTanSeries:
         assert abs(total - math.tan(alpha)) < 1e-7
 
 
-class TestCotDerivPolynomial:
-    def test_recurrence_exact(self):
-        # independent reconstruction: Q_{j+1} = -(1 + c^2) Q_j' over Fractions
-        q = [Fraction(0), Fraction(1)]  # Q_0 = c
-        for j in range(12):
-            got = cot_deriv_polynomial(j).coeffs
-            padded = list(q) + [Fraction(0)] * (len(got) - len(q))
-            assert [Fraction(c) for c in padded][: len(got)] == [
-                Fraction(int(x)) for x in got
-            ]
-            dq = [k * q[k] for k in range(1, len(q))]
-            nxt = [Fraction(0)] * (len(dq) + 2)
-            for k, coef in enumerate(dq):
-                nxt[k] -= coef
-                nxt[k + 2] -= coef
-            q = nxt
-
-    def test_parity_invariant(self):
-        # coeffs[k] = 0 whenever k and j+1 have different parity
-        for j in range(13):
-            coeffs = cot_deriv_polynomial(j).coeffs
-            for k, coef in enumerate(coeffs):
-                if (k - (j + 1)) % 2 != 0:
-                    assert coef == 0
-
-    def test_low_order_polynomials(self):
-        assert cot_deriv_polynomial(0).coeffs == (0, 1)
-        assert cot_deriv_polynomial(1).coeffs == (-1, 0, -1)
-        assert cot_deriv_polynomial(2).coeffs == (0, 2, 0, 2)
-
-
 class TestCotPiDerivative:
     def test_value_at_half(self):
         assert abs(cot_pi_derivative(0, 0.5)) < 1e-15
@@ -192,21 +159,15 @@ def test_cot_derivatives_against_mpmath():
         assert _max_rel_err(cot_pi_derivatives(7, a.conjugate()), conj) <= 1e-13, a
 
 
-def test_q_expansion_threshold():
-    # the polynomial in cot(pi a) loses relative accuracy like
-    # e^(2 pi |Im a|): at |Im a| = 2 it is off by ~1e-9, while the
-    # q-expansion holds from the switch upward; both hold at the switch
-    def poly(a):
-        c = cot_pi(a)
-        return [cot_deriv_polynomial(j).evaluate(c) for j in range(8)]
-
-    for x in (-0.77, 0.1, 0.3, 0.45):
-        at_switch = complex(x, _Q_EXPANSION_IM)
-        ref = _cot_derivatives_mp(7, at_switch)
-        assert _max_rel_err(poly(at_switch), ref) <= 1e-13
-        assert _max_rel_err(_cot_pi_q(7, at_switch), ref) <= 1e-13
-        far = complex(x, 2.0)
-        assert _max_rel_err(poly(far), _cot_derivatives_mp(7, far)) > 1e-11
+@pytest.mark.parametrize("a", [1e-3, 0.026 - 0.0024j, -0.97 + 0.0004j,
+                               0.3 + 0.5j, 0.45 + 5j])
+def test_cot_taylor_at_high_order(a):
+    # the recurrence to j = 31, near an integer (where e_j grows like
+    # 1/dist^(j+1)) and off the axis, against mpmath's Taylor coefficients
+    with mpmath.workdps(40 + int(3 * abs(complex(a).imag))):
+        ref = [complex(c) for c in mpmath.taylor(
+            lambda t: mpmath.cot(mpmath.pi * t), mpmath.mpc(a), 31)]
+    assert _max_rel_err(cot_pi_taylor(31, a), ref) <= 1e-14
 
 
 class TestCotPiLaurent:
@@ -230,6 +191,19 @@ class TestCotPiLaurent:
         assert abs(series - 1 / math.tan(math.pi * eps)) < 1e-12 / eps
 
 
+def _cot_poly_coeffs(j):
+    """Integer coefficients of Q_j with d^j/da^j cot(pi a) = pi^j Q_j(c),
+    c = cot(pi a): Q_0 = c and Q_(j+1) = -(1 + c^2) Q_j'."""
+    q = [0, 1]
+    for _ in range(j):
+        dq = [k * q[k] for k in range(1, len(q))]
+        q = [0] * (len(dq) + 2)
+        for k, coef in enumerate(dq):
+            q[k] -= coef
+            q[k + 2] -= coef
+    return q
+
+
 @given(
     st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
     st.integers(min_value=0, max_value=6),
@@ -247,7 +221,7 @@ def test_cot_derivative_antisymmetry(a, j):
     c = cot_pi(a)
     scale = math.pi**j * sum(
         abs(coef) * abs(c) ** k
-        for k, coef in enumerate(cot_deriv_polynomial(j).coeffs)
+        for k, coef in enumerate(_cot_poly_coeffs(j))
     )
     rounding = abs(cot_pi_derivative(j + 1, a)) * (1 + abs(a)) * 2.0**-52
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, scale) + 4 * rounding
