@@ -76,6 +76,8 @@ LARGE_ORDER = {
                        "--method", "integer-a"],
     "n64-inverse": ["--z", "0,3", "--n", "64", "--a", "0.3,0.2",
                     "--method", "inverse"],
+    # |Phi| is about 1e385, beyond the double range
+    "n50-beyond-double-range": ["--z", "0,3", "--n", "50", "--a", "2e-8,0"],
 }
 SUITES = ("symmetry", "recurrences", "reflections", "theorem1")
 
@@ -90,6 +92,13 @@ def commands():
     cmds += [(f"check-{suite}-tol-1e-12",
               ["check", "--suite", suite, "--grid", "10", "--seed", "0",
                "--tol", "1e-12"]) for suite in SUITES]
+    cmds += [("check-theorem1-tol-1e-13",
+              ["check", "--suite", "theorem1", "--grid", "10", "--seed", "0",
+               "--tol", "1e-13"]),
+             # a theorem-1 point where a fold formed with cancellation stalls
+             ("eval-theorem1-pv-tol-1e-13",
+              ["eval", "--z=-0.7698,-0.1896", "--n", "2",
+               "--a", "0.6253,0.2742", "--method", "pv", "--tol", "1e-13"])]
     cmds += [(f"compare-{point}-{fmt}", ["compare", *flags, "--format", fmt])
              for point, flags in COMPARE_POINTS.items()
              for fmt in ("plain", "json", "csv")]

@@ -21,6 +21,7 @@ from .engine import (
     symmetry_transform,
 )
 from .errors import (
+    BeyondDoubleRange,
     DivergentAtOne,
     DomainError,
     LerchError,
@@ -38,7 +39,7 @@ from .identities import (
     residual_shift,
     residual_symmetry,
 )
-from .quadrature import PoleSpec, RayIntegrand, integrate_ray, pv_integrate_ray
+from .quadrature import RayIntegrand, integrate_ray, pv_integrate_ray
 from .result import EvalResult
 from .special_functions import (
     bernoulli,

@@ -24,12 +24,13 @@ from math import factorial
 from typing import NamedTuple
 
 from .errors import (
+    BeyondDoubleRange,
     DomainError,
     NearIntegerShift,
     PoleAtInteger,
     ToleranceNotMet,
 )
-from .quadrature import PoleSpec, RayIntegrand, integrate_ray, pv_integrate_ray
+from .quadrature import RayIntegrand, integrate_ray, pv_integrate_ray
 from .result import EvalResult
 from .special_functions import (
     _cot_pi_laurent,
@@ -141,6 +142,14 @@ def _exterior_log(w: complex, route: str):
 def _cpow(base: complex, expo: complex) -> complex:
     """Principal-branch power exp(expo * Log base)."""
     return cmath.exp(expo * cmath.log(base))
+
+
+def _expm1(w: complex) -> complex:
+    """e^w - 1, accurate for small |w|."""
+    half_sin = math.sin(0.5 * w.imag)
+    return complex(math.expm1(w.real) * math.cos(w.imag)
+                   - 2.0 * half_sin * half_sin,
+                   math.exp(w.real) * math.sin(w.imag))
 
 
 def _quadrature_scale(n: int, route: str) -> float:
@@ -281,9 +290,21 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
         # e^((a-1) t) / (z - e^(-t))
         return t ** (n - 1) * cmath.exp((a - 1.0) * t) / (z - cmath.exp(-t))
 
+    def shifted(v: complex) -> complex:
+        # the integrand at t0 + v, with z - e^(-t0 - v) = -z expm1(-v) formed
+        # without cancellation, so the two sides of the fold cancel exactly
+        t = t0 + v
+        return t ** (n - 1) * cmath.exp((a - 1.0) * t) / (-z * _expm1(-v))
+
+    phase = cmath.exp(1j * phi_angle)
+
+    def fold(u: float) -> complex:
+        v = u * phase
+        return (shifted(v) + shifted(-v)) * phase
+
     ray = RayIntegrand(integrand, phi_angle, decay_rate=decay, growth_degree=n - 1)
     try:
-        pv, stall = pv_integrate_ray(ray, PoleSpec(t0), tol), None
+        pv, stall = pv_integrate_ray(ray, t0, fold, tol), None
     except ToleranceNotMet as exc:
         pv, stall = exc.result, exc
     trig = math.pi * _cpow(z, -a) * _cot_term(n, t0, cot_pi_taylor(n - 1, a))
@@ -331,6 +352,11 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
     m = j - 1
     value = trig - tail
     err = bound + 5e-16 * (n + 1) * abs(trig)
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise BeyondDoubleRange(
+            f"Phi({w}, {n}, {b}) or its error bound is beyond the double "
+            f"range (inverse-argument expansion: value {value}, bound {err})"
+        )
     result = EvalResult(value, err, "inverse", m)
     if bound > tol * max(1.0, abs(value)):
         raise ToleranceNotMet(
@@ -474,6 +500,8 @@ def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
             if row.degraded:
                 return degrade(ROUTES[name], z, n, a, tol)
             return ROUTES[name](z, n, a, tol)
+        except BeyondDoubleRange:
+            raise
         except DomainError as exc:
             refused = exc
     if row.refusal:

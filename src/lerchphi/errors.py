@@ -26,6 +26,11 @@ class DivergentAtOne(DomainError):
     """Li_1(x) requested at x = 1, where the series diverges."""
 
 
+class BeyondDoubleRange(DomainError):
+    """The value, or its error bound, is beyond the double range; phi ends
+    its route row there, since no route can return it."""
+
+
 class PoleOffRay(DomainError):
     """Declared principal-value pole does not lie on the integration ray."""
 

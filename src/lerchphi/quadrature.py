@@ -1,17 +1,20 @@
 """Error-controlled integration along complex rays.
 
-Adaptive 7-15 Gauss-Kronrod panels on the ray arg(t) = phi, truncated where
-an exponential decay bound certifies the tail.  Each adaptive piece starts
-from _START_PANELS equal panels and bisects where the error is, as QUADPACK's
-qag does.  Cauchy principal values with one simple on-ray pole are computed
-by folding a symmetric window about the pole, which realizes the symmetric
-limit exactly and keeps the integrand bounded.
+Double-exponential trapezoid rules (Takahasi & Mori, Publ. RIMS 9, 1974):
+exp-sinh, u = c + s e^((pi/2) sinh x), maps [c, oo), and tanh-sinh,
+u = L (1 + tanh((pi/2) sinh x)) / 2, maps [0, L].  One driver, _de_sum, halves
+the step in x at each level, so a level adds only the odd nodes, and takes
+its error from the difference of successive levels plus a rounding floor
+and the last kept terms.  A Cauchy principal value with one simple on-ray
+pole folds the window [0, 2 u0] about the pole, which realizes the
+symmetric limit exactly; the caller supplies the fold, because only it can
+form f(t0 + v) + f(t0 - v) without cancellation.
 """
 
 from __future__ import annotations
 
 import cmath
-import heapq
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -19,34 +22,12 @@ from typing import Callable
 from .errors import DomainError, PoleOffRay, ToleranceNotMet
 from .result import EvalResult
 
-__all__ = ["RayIntegrand", "PoleSpec", "integrate_ray", "pv_integrate_ray"]
+__all__ = ["RayIntegrand", "integrate_ray", "pv_integrate_ray"]
 
-# 7-15 Gauss-Kronrod pair (QUADPACK dqk15 abscissae/weights).
-_XGK = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993944,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
-)
-_WGK = (
-    0.0229353220105292,
-    0.0630920926299786,
-    0.1047900103222502,
-    0.1406532597155259,
-    0.1690047266392679,
-    0.1903505780647854,
-    0.2044329400752989,
-)
-_WGK_CENTER = 0.2094821410847278
-# Gauss nodes are _XGK[1], _XGK[3], _XGK[5] plus the centre.
-_WG = (0.1294849661688697, 0.2797053914892767, 0.3818300505051189)
-_WG_CENTER = 0.4179591836734694
-
-_MAX_PANELS = 2500
-_START_PANELS = 4
+_H0 = 0.5  # step in x at level 0
+_X_MAX = 4.5  # nodes lie in |x| <= _X_MAX
+_MAX_NODES = 37_500
+_ROUNDING = 10 * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -66,205 +47,157 @@ class RayIntegrand:
             raise DomainError("decay rate must be positive")
 
 
-@dataclass(frozen=True)
-class PoleSpec:
-    location: complex
-    order: int = 1
+@functools.cache
+def _nodes(tanh_sinh: bool, level: int):
+    """(right, left): the (offset, weight) pairs that the level adds on each
+    side of x = 0, ordered outward, for the unit map (s = 1 or L = 1).
+    Built on first use, never at import."""
+    h = _H0 / 2**level
+    sides = []
+    for sign in (1, -1):
+        if level == 0:
+            xs = [sign * j * h for j in range(sign < 0, int(_X_MAX / h) + 1)]
+        else:
+            xs = [sign * (2 * j + 1) * h
+                  for j in range(int((_X_MAX / h + 1) / 2))]
+        side = []
+        for x in xs:
+            y = 0.5 * math.pi * math.sinh(x)
+            dy = 0.5 * math.pi * math.cosh(x)
+            if tanh_sinh:
+                q = math.exp(-2.0 * abs(y))
+                side.append(((1.0 if x >= 0 else q) / (1.0 + q),
+                             2.0 * q / (1.0 + q) ** 2 * dy))
+            else:
+                side.append((math.exp(y), dy * math.exp(y)))
+        sides.append(tuple(side))
+    return tuple(sides)
 
 
-# panels whose evaluation hits a singularity get this sentinel error so the
-# refinement keeps attacking them until the budget runs out
-_HUGE_ERR = 1e300
+def _level_sums(piece, level: int, cut: float, grow: float):
+    """(sum of terms, sum of their moduli, last kept moduli, nodes) of the
+    nodes the level adds to piece = (tanh_sinh, fun, lo, scale), each side
+    summed outward until a term falls below cut max(1, grow |sum so far|)."""
+    tanh_sinh, fun, lo, scale = piece
+    total = 0j
+    size = tail = 0.0
+    nodes = 0
+    for side in _nodes(tanh_sinh, level):
+        mag = 0.0
+        for off, w in side:
+            term = fun(lo + scale * off) * (scale * w)
+            mag = abs(term)
+            total += term
+            size += mag
+            nodes += 1
+            if mag < cut * max(1.0, grow * abs(total)):
+                break
+        tail += mag
+    return total, size, tail, nodes
 
 
-def _gk_panel(fun, lo: float, hi: float):
-    """One 15-point Kronrod panel; returns (integral, err_estimate)."""
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    try:
-        fc = fun(c)
-        k15 = _WGK_CENTER * fc
-        g7 = _WG_CENTER * fc
-        for i in range(7):
-            x = h * _XGK[i]
-            pair = fun(c - x) + fun(c + x)
-            k15 += _WGK[i] * pair
-            if i % 2 == 1:
-                g7 += _WG[(i - 1) // 2] * pair
-    except (ZeroDivisionError, OverflowError, ValueError):
-        return 0j, _HUGE_ERR
-    err = abs(h * (k15 - g7))
-    if err != err or err == math.inf:  # NaN/inf from the integrand
-        return 0j, _HUGE_ERR
-    return h * k15, err
+def _de_sum(pieces, tol: float, method: str) -> EvalResult:
+    """Sum of the integrals of the pieces (tanh_sinh, fun, lo, scale), each
+    of fun over t = lo + scale * offset, by the trapezoid rule in x.
 
-
-def _adaptive(fun, lo, hi, tol, abs_target=None):
-    """Adaptive bisection until sum of panel errors meets the target.
-
-    Starts from _START_PANELS equal panels on [lo, hi], whatever its length,
-    and bisects the worst panel while the summed estimate misses the target:
-    abs_target when given, else the mixed tol * max(1, |total|).
-    Returns (value, err, nevals, converged); the final value is re-summed in
-    panel order for reproducibility.
+    The absolute target is 0.25 tol max(1, |level-0 sum|), shared evenly by
+    the pieces; each side is summed outward until a term falls below 1e-4
+    of a piece's share, at level 0 with the piece's running sum in place of
+    the level-0 sum, so that the walk stops where a term is negligible
+    before it reaches nodes where the integrand's factors overflow.  From level 2 on a piece stops once its successive levels differ
+    by at most its share, and reports that difference plus a rounding
+    floor and the last kept terms, which bound the dropped tail.  The
+    driver raises ToleranceNotMet carrying the last level's result when
+    that estimate misses tol max(1, |level-0 sum|), or past _MAX_NODES.
     """
-    entries = []
-    counter = 0
-    heap = []
-    total_err = 0.0
-    total_val = 0j
-    width = (hi - lo) / _START_PANELS
-    for i in range(_START_PANELS):
-        a = lo + i * width
-        b = hi if i == _START_PANELS - 1 else lo + (i + 1) * width
-        val, err = _gk_panel(fun, a, b)
-        heapq.heappush(heap, (-err, counter, a, b, val, err))
-        counter += 1
-        total_err += err
-        total_val += val
-    nevals = 15 * _START_PANELS
+    # per piece: sum of every term so far (level k's value is h_k times
+    # it), sum of their moduli, value, last level difference, error
+    # estimate, converged
+    states = [[0j, 0.0, 0j, math.inf, math.inf, False] for _ in pieces]
+    nodes = 0
+    share = 0.25 * tol / len(pieces)  # at level 0, times max(1, |sum|)
+    level = 0
     while True:
-        target = abs_target if abs_target is not None else tol * max(
-            1.0, abs(total_val)
-        )
-        if total_err <= target:
-            converged = True
-            break
-        if counter >= _MAX_PANELS:
-            converged = False
-            break
-        _, _, a, b, val, err = heapq.heappop(heap)
-        total_err -= err
-        total_val -= val
-        mid = 0.5 * (a + b)
-        for aa, bb in ((a, mid), (mid, b)):
-            v, e = _gk_panel(fun, aa, bb)
-            heapq.heappush(heap, (-e, counter, aa, bb, v, e))
-            counter += 1
-            total_err += e
-            total_val += v
-        nevals += 30
-    panels = sorted(heap, key=lambda item: item[2])
-    value = 0j
-    err = 0.0
-    for _, _, _, _, val, e in panels:
-        value += val
-        err += e
-    return value, err, nevals, converged
+        h = _H0 / 2**level
+        for piece, state in zip(pieces, states):
+            if state[5]:
+                continue
+            try:
+                total, size, tail, count = _level_sums(
+                    piece, level, 1e-4 * share, 0.0 if level else h)
+            except (ArithmeticError, ValueError):
+                total = complex(math.nan)
+            state[0] += total
+            value = h * state[0]
+            if not cmath.isfinite(value):
+                raise ToleranceNotMet(
+                    f"{method} integrand is not finite at a node",
+                    EvalResult(sum(s[2] for s in states), math.inf, method,
+                               nodes),
+                )
+            state[1] += size
+            nodes += count
+            diff = abs(value - state[2]) if level else math.inf
+            done = level >= 2 and diff <= share
+            # a piece that has not converged keeps the larger of its last
+            # two differences, which are noise of the same size
+            spread = diff if done else max(diff, state[3])
+            state[2:] = (value, diff,
+                         spread + _ROUNDING * h * state[1] + tail, done)
+        result = EvalResult(sum(s[2] for s in states),
+                            sum(s[4] for s in states), method, nodes)
+        if level == 0:
+            share = 0.25 * tol * max(1.0, abs(result.value)) / len(pieces)
+        converged = all(s[5] for s in states)
+        if converged and result.err_estimate <= 4 * len(pieces) * share:
+            return result
+        if converged or 2 * nodes > _MAX_NODES:
+            raise ToleranceNotMet(
+                f"{method} quadrature stalled at error "
+                f"{result.err_estimate:.3g} (tol {tol:.3g})",
+                result,
+            )
+        level += 1
 
 
-def _safe_abs(fun, u):
-    try:
-        return abs(fun(u))
-    except (ZeroDivisionError, OverflowError):
-        return math.inf
-
-
-def _truncation_point(f: RayIntegrand, tol: float, ray_fun) -> float:
-    """T with a certified tail bound: base point from the decay rate, a
-    growth-degree correction, then empirical extension while the integrand
-    envelope at the cut stays above tol * decay / 4."""
-    r = f.decay_rate
-    budget = math.log(1.0 / min(tol, 0.1)) + 5.0
-    t_cut = budget / r
-    for _ in range(2):
-        t_cut = (budget + f.growth_degree * math.log1p(t_cut)) / r
-    while t_cut < 1e6:
-        env = max(
-            _safe_abs(ray_fun, t_cut),
-            _safe_abs(ray_fun, 1.031 * t_cut),
-            _safe_abs(ray_fun, 1.092 * t_cut),
-        )
-        if env / r <= 0.25 * tol:
-            break
-        t_cut *= 1.3
-    return t_cut
+def _exp_sinh(f: RayIntegrand, lo: complex):
+    """The exp-sinh piece of f from lo along the ray, with the scale
+    max(1, growth_degree) / decay_rate, where |t|^g e^(-r |t|) peaks."""
+    scale = max(1, f.growth_degree) / f.decay_rate
+    return (False, f.evaluate, lo, scale * cmath.exp(1j * f.ray_angle))
 
 
 def integrate_ray(f: RayIntegrand, tol: float) -> EvalResult:
     """Integral of a pole-free integrand over the full ray, tail included."""
-    phase = cmath.exp(1j * f.ray_angle)
-
-    def ray_fun(u):
-        return f.evaluate(u * phase) * phase
-
-    t_cut = _truncation_point(f, tol, ray_fun)
-    value, err, nevals, ok = _adaptive(ray_fun, 0.0, t_cut, 0.75 * tol)
-    err += 0.25 * tol  # certified tail remainder
-    result = EvalResult(value, err, "ray", nevals)
-    if not ok:
-        raise ToleranceNotMet(
-            f"ray integral stalled at error {err:.3g} (tol {tol:.3g})", result
-        )
-    return result
+    return _de_sum((_exp_sinh(f, 0j),), tol, "ray")
 
 
-def pv_integrate_ray(f: RayIntegrand, pole: PoleSpec, tol: float) -> EvalResult:
-    """Cauchy principal value with one simple pole on the ray.
+def pv_integrate_ray(f: RayIntegrand, pole: complex,
+                     fold: Callable[[float], complex], tol: float) -> EvalResult:
+    """Cauchy principal value with one simple pole t0 = u0 e^(i phi) on the ray.
 
-    The window pole +- delta e^{i phi} is folded: g(u) = f(t0 + u e^{i phi})
-    + f(t0 - u e^{i phi}) is regular at u -> 0 for a simple pole, so the
-    symmetric limit needs no shrinking excision.
+    fold(u) must return (f(t0 + u e^(i phi)) + f(t0 - u e^(i phi))) e^(i phi),
+    which is regular at u -> 0 for a simple pole; then
+    PV = int_0^u0 fold (tanh-sinh) + int_2u0^oo f (exp-sinh).
     """
-    if pole.order != 1:
-        raise DomainError("only simple poles are supported")
-    phase = cmath.exp(1j * f.ray_angle)
-    t0 = complex(pole.location)
+    t0 = complex(pole)
     proj = t0 * cmath.exp(-1j * f.ray_angle)
     if abs(proj.imag) > 1e-10 * max(1.0, abs(proj)) or proj.real <= 0:
         raise PoleOffRay(
             f"pole {t0} does not lie on the ray arg(t) = {f.ray_angle:.6g}"
         )
     u0 = proj.real
-    delta = min(u0 / 2.0, 1.0)
-
-    def ray_fun(u):
-        return f.evaluate(u * phase) * phase
-
-    def folded(u):
-        v = u * phase
-        return (f.evaluate(t0 + v) + f.evaluate(t0 - v)) * phase
 
     # Regularity guard: a simple on-ray pole folds to a bounded integrand.
-    g_small = _safe_abs(folded, 1e-6 * delta)
-    g_mid = _safe_abs(folded, 0.5 * delta)
-    if g_small > 1e6 * (g_mid + 1.0):
+    delta = min(u0 / 2.0, 1.0)
+    try:
+        blown = abs(fold(1e-6 * delta)) > 1e6 * (abs(fold(0.5 * delta)) + 1.0)
+    except ArithmeticError:
+        blown = True
+    if blown:
         raise PoleOffRay(
             "folded integrand blows up at the declared pole; "
             "pole location or order is wrong"
         )
-
-    t_cut = max(_truncation_point(f, tol, ray_fun), u0 + delta + 1.0)
-
-    # Coarse single-panel scan fixes the absolute refinement target, so that
-    # cancellation between the window and the outer pieces is respected.
-    coarse = (
-        _gk_panel(ray_fun, 0.0, u0 - delta)[0]
-        + _gk_panel(ray_fun, u0 + delta, t_cut)[0]
-        + _gk_panel(folded, 0.0, delta)[0]
-    )
-    abs_target = 0.25 * tol * max(1.0, abs(coarse))
-
-    value = 0j
-    err = 0.0
-    nevals = 45
-    converged = True
-    pieces = (
-        (ray_fun, 0.0, u0 - delta),
-        (folded, 0.0, delta),
-        (ray_fun, u0 + delta, t_cut),
-    )
-    for fun, lo, hi in pieces:
-        v, e, ne, ok = _adaptive(fun, lo, hi, tol, abs_target=abs_target)
-        value += v
-        err += e
-        nevals += ne
-        converged = converged and ok
-    err += 0.25 * tol  # tail remainder beyond t_cut
-    result = EvalResult(value, err, "pv-ray", nevals)
-    if not converged:
-        raise ToleranceNotMet(
-            f"principal value stalled at error {err:.3g} (tol {tol:.3g})",
-            result,
-        )
-    return result
+    return _de_sum(((True, fold, 0.0, u0), _exp_sinh(f, 2.0 * t0)), tol,
+                   "pv-ray")

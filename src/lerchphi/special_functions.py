@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import (
+    BeyondDoubleRange,
     DivergentAtOne,
     DomainError,
     PoleAtInteger,
@@ -344,7 +345,23 @@ def hurwitz_zeta(n: int, a: complex) -> complex:
 
 
 def polygamma(m: int, a: complex) -> complex:
-    """psi^(m)(a) = (-1)^(m+1) m! zeta(m+1, a) for m >= 1."""
+    """psi^(m)(a) = (-1)^(m+1) m! zeta(m+1, a) for m >= 1; BeyondDoubleRange
+    where that is beyond the double range.  m! enters as a float mantissa
+    times a power of two, so the product is formed even where m! alone is
+    beyond the double range."""
     if m < 1:
         raise DomainError("polygamma implemented for m >= 1 only")
-    return (-1) ** (m + 1) * factorial(m) * hurwitz_zeta(m + 1, a)
+    fact = factorial(m)
+    shift = max(0, fact.bit_length() - 64)
+    value = (-1) ** (m + 1) * float(fact >> shift) * hurwitz_zeta(m + 1, a)
+    try:
+        value = complex(math.ldexp(value.real, shift),
+                        math.ldexp(value.imag, shift))
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise BeyondDoubleRange(
+            f"polygamma({m}, {a}) = (-1)^(m+1) m! zeta(m+1, a) is beyond the "
+            "double range"
+        )
+    return value

@@ -15,8 +15,8 @@ import math
 import mpmath
 import pytest
 
-from lerchphi import engine
-from lerchphi.errors import DomainError, LerchError
+from lerchphi import cli, engine
+from lerchphi.errors import BeyondDoubleRange, DomainError, LerchError
 
 TOL = 1e-10
 ORDERS = (16, 32, 64, 120, 171, 200)
@@ -84,3 +84,15 @@ def test_trig_term_at_large_order_returns_or_refuses(call):
         call()
     except LerchError:
         pass
+
+
+@pytest.mark.parametrize("n", (50, 200))
+def test_value_beyond_the_double_range_raises(n, capsys):
+    # |Phi(3i, 50, 2e-8)| is about 1e385; the inverse route's cot
+    # coefficients overflow, and phi must not pass the point on to the
+    # integer-shift route's refusal
+    with pytest.raises(BeyondDoubleRange, match="double range"):
+        engine.phi(3j, n, 2e-8, TOL)
+    assert cli.main(["eval", "--z", "0,3", "--n", str(n),
+                     "--a", "2e-8,0"]) == 2
+    assert "double range" in capsys.readouterr().err

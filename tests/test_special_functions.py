@@ -320,3 +320,14 @@ class TestPolygamma:
     def test_digamma_excluded(self):
         with pytest.raises(DomainError):
             polygamma(0, 0.5)
+
+    @pytest.mark.parametrize("m", [170, 299])
+    def test_beyond_the_double_range_refused(self, m):
+        # 170! zeta(171, 1/2) ~ 2e358 and 299! zeta(300, 1/2) ~ 1e702
+        with pytest.raises(DomainError, match="double range"):
+            polygamma(m, 0.5)
+
+    def test_in_range_where_the_factorial_is_not(self):
+        # 200! ~ 8e374, but 200! zeta(201, 5/2) ~ -8e294
+        ref = complex(mpmath.polygamma(200, 2.5))
+        assert abs(polygamma(200, 2.5) - ref) <= 1e-14 * abs(ref)
