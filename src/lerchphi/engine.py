@@ -242,8 +242,10 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
     if _is_real(z) and z.real >= 1.0 - 1e-14:
         raise DomainError("integral route needs z off the cut [1, oo)")
 
+    minus_a = -a
+
     def integrand(t: complex) -> complex:
-        return t ** (n - 1) * cmath.exp(-a * t) / (1.0 - z * cmath.exp(-t))
+        return t ** (n - 1) * cmath.exp(minus_a * t) / (1.0 - z * cmath.exp(-t))
 
     ray = RayIntegrand(integrand, 0.0, decay_rate=a.real, growth_degree=n - 1)
     try:
@@ -285,16 +287,18 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
             f"{phi_angle:.6g}"
         )
 
+    a1 = a - 1.0
+
     def integrand(t: complex) -> complex:
         # e^(a t) / (z e^t - 1) rewritten overflow-free as
         # e^((a-1) t) / (z - e^(-t))
-        return t ** (n - 1) * cmath.exp((a - 1.0) * t) / (z - cmath.exp(-t))
+        return t ** (n - 1) * cmath.exp(a1 * t) / (z - cmath.exp(-t))
 
     def shifted(v: complex) -> complex:
         # the integrand at t0 + v, with z - e^(-t0 - v) = -z expm1(-v) formed
         # without cancellation, so the two sides of the fold cancel exactly
         t = t0 + v
-        return t ** (n - 1) * cmath.exp((a - 1.0) * t) / (-z * _expm1(-v))
+        return t ** (n - 1) * cmath.exp(a1 * t) / (-z * _expm1(-v))
 
     phase = cmath.exp(1j * phi_angle)
 

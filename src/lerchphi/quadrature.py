@@ -1,14 +1,13 @@
 """Error-controlled integration along complex rays.
 
 Double-exponential trapezoid rules (Takahasi & Mori, Publ. RIMS 9, 1974):
-exp-sinh, u = c + s e^((pi/2) sinh x), maps [c, oo), and tanh-sinh,
-u = L (1 + tanh((pi/2) sinh x)) / 2, maps [0, L].  One driver, _de_sum, halves
-the step in x at each level, so a level adds only the odd nodes, and takes
-its error from the difference of successive levels plus a rounding floor
-and the last kept terms.  A Cauchy principal value with one simple on-ray
-pole folds the window [0, 2 u0] about the pole, which realizes the
-symmetric limit exactly; the caller supplies the fold, because only it can
-form f(t0 + v) + f(t0 - v) without cancellation.
+exp-sinh, u = c + s e^((pi/2) sinh x), on [c, oo) and tanh-sinh,
+u = L (1 + tanh((pi/2) sinh x)) / 2, on [0, L].  One driver, _de_sum, halves
+the step in x at each level, so that a level adds only the odd nodes, and
+estimates the error from the difference of successive levels, a rounding
+floor and the last kept terms.  A principal value with one simple on-ray
+pole t0 folds [0, 2 t0] about the pole; the caller supplies the fold, as
+only it can form f(t0 + v) + f(t0 - v) without cancellation.
 """
 
 from __future__ import annotations
@@ -47,117 +46,109 @@ class RayIntegrand:
             raise DomainError("decay rate must be positive")
 
 
+def _node(tanh_sinh: bool, x: float):
+    """(offset, weight) at x of the unit tanh-sinh map onto [0, 1], or of
+    the unit exp-sinh map onto [0, oo)."""
+    y, dy = 0.5 * math.pi * math.sinh(x), 0.5 * math.pi * math.cosh(x)
+    if tanh_sinh:
+        q = math.exp(-2.0 * abs(y))
+        return (1.0 if x >= 0 else q) / (1.0 + q), 2.0 * q / (1.0 + q)**2 * dy
+    return math.exp(y), dy * math.exp(y)
+
+
 @functools.cache
 def _nodes(tanh_sinh: bool, level: int):
-    """(right, left): the (offset, weight) pairs that the level adds on each
-    side of x = 0, ordered outward, for the unit map (s = 1 or L = 1).
-    Built on first use, never at import."""
+    """(right, left): the nodes that the level adds on each side of x = 0,
+    ordered outward.  Built on first use, never at import."""
     h = _H0 / 2**level
-    sides = []
-    for sign in (1, -1):
-        if level == 0:
-            xs = [sign * j * h for j in range(sign < 0, int(_X_MAX / h) + 1)]
-        else:
-            xs = [sign * (2 * j + 1) * h
-                  for j in range(int((_X_MAX / h + 1) / 2))]
-        side = []
-        for x in xs:
-            y = 0.5 * math.pi * math.sinh(x)
-            dy = 0.5 * math.pi * math.cosh(x)
-            if tanh_sinh:
-                q = math.exp(-2.0 * abs(y))
-                side.append(((1.0 if x >= 0 else q) / (1.0 + q),
-                             2.0 * q / (1.0 + q) ** 2 * dy))
-            else:
-                side.append((math.exp(y), dy * math.exp(y)))
-        sides.append(tuple(side))
-    return tuple(sides)
+    step = 2 * h if level else h
+    return tuple(
+        tuple(_node(tanh_sinh, sign * (start + j * step))
+              for j in range(int((_X_MAX - start) / step) + 1))
+        for start, sign in ((h if level else 0.0, 1.0), (h, -1.0)))
 
 
-def _level_sums(piece, level: int, cut: float, grow: float):
+def _level_sums(piece, level: int, cut: float, grow: float = 0.0):
     """(sum of terms, sum of their moduli, last kept moduli, nodes) of the
     nodes the level adds to piece = (tanh_sinh, fun, lo, scale), each side
-    summed outward until a term falls below cut max(1, grow |sum so far|)."""
+    summed outward until a term falls below cut max(1, grow |sum so far|).
+    Terms are summed on the unit map and scaled once at the end."""
     tanh_sinh, fun, lo, scale = piece
+    unit = abs(scale)
     total = 0j
     size = tail = 0.0
     nodes = 0
+    limit = cut / unit
     for side in _nodes(tanh_sinh, level):
         mag = 0.0
         for off, w in side:
-            term = fun(lo + scale * off) * (scale * w)
+            term = fun(lo + scale * off) * w
             mag = abs(term)
             total += term
             size += mag
             nodes += 1
-            if mag < cut * max(1.0, grow * abs(total)):
+            if mag < limit:
                 break
+            if grow:
+                limit = cut / unit * max(1.0, grow * unit * abs(total))
         tail += mag
-    return total, size, tail, nodes
+    return scale * total, unit * size, unit * tail, nodes
+
+
+def _refine(piece, first, share: float):
+    """(value, error estimate, nodes, converged) of one piece from its level-0
+    sums: levels are added until, from level 2 on, two differ by at most
+    share, or past _MAX_NODES.  The estimate is that difference (without
+    convergence the larger of the last two, which are then noise of one
+    size) plus a rounding floor and the last kept terms."""
+    total, size, tail, nodes = first
+    value, diff = _H0 * total, math.inf
+    level = 0
+    while cmath.isfinite(value):
+        level += 1
+        h = _H0 / 2**level
+        part, part_size, tail, count = _level_sums(piece, level, 1e-4 * share)
+        total += part
+        size += part_size
+        nodes += count
+        last, value = value, h * total
+        # abs of a NaN complex can raise on a stale errno, so test first
+        step = abs(value - last) if cmath.isfinite(value) else math.inf
+        diff, spread = step, max(diff, step)
+        done = level >= 2 and diff <= share
+        if done or 2 * nodes > _MAX_NODES:
+            return (value, (diff if done else spread)
+                    + _ROUNDING * h * size + tail, nodes, done)
+    return value, math.inf, nodes, False
 
 
 def _de_sum(pieces, tol: float, method: str) -> EvalResult:
     """Sum of the integrals of the pieces (tanh_sinh, fun, lo, scale), each
     of fun over t = lo + scale * offset, by the trapezoid rule in x.
 
-    The absolute target is 0.25 tol max(1, |level-0 sum|), shared evenly by
-    the pieces; each side is summed outward until a term falls below 1e-4
-    of a piece's share, at level 0 with the piece's running sum in place of
-    the level-0 sum, so that the walk stops where a term is negligible
-    before it reaches nodes where the integrand's factors overflow.  From level 2 on a piece stops once its successive levels differ
-    by at most its share, and reports that difference plus a rounding
-    floor and the last kept terms, which bound the dropped tail.  The
-    driver raises ToleranceNotMet carrying the last level's result when
-    that estimate misses tol max(1, |level-0 sum|), or past _MAX_NODES.
+    Level 0 walks until a term falls below 2.5e-5 tol max(1, |the piece's
+    running sum|), which stops it before the integrand's factors overflow.
+    Its sum fixes the target 0.25 tol max(1, |level-0 sum|), shared evenly
+    by the pieces, which walk later levels to 1e-4 of their share.  If a
+    piece does not converge, the estimate misses 4 times the target or the
+    integrand fails, ToleranceNotMet carries the result.
     """
-    # per piece: sum of every term so far (level k's value is h_k times
-    # it), sum of their moduli, value, last level difference, error
-    # estimate, converged
-    states = [[0j, 0.0, 0j, math.inf, math.inf, False] for _ in pieces]
-    nodes = 0
-    share = 0.25 * tol / len(pieces)  # at level 0, times max(1, |sum|)
-    level = 0
-    while True:
-        h = _H0 / 2**level
-        for piece, state in zip(pieces, states):
-            if state[5]:
-                continue
-            try:
-                total, size, tail, count = _level_sums(
-                    piece, level, 1e-4 * share, 0.0 if level else h)
-            except (ArithmeticError, ValueError):
-                total = complex(math.nan)
-            state[0] += total
-            value = h * state[0]
-            if not cmath.isfinite(value):
-                raise ToleranceNotMet(
-                    f"{method} integrand is not finite at a node",
-                    EvalResult(sum(s[2] for s in states), math.inf, method,
-                               nodes),
-                )
-            state[1] += size
-            nodes += count
-            diff = abs(value - state[2]) if level else math.inf
-            done = level >= 2 and diff <= share
-            # a piece that has not converged keeps the larger of its last
-            # two differences, which are noise of the same size
-            spread = diff if done else max(diff, state[3])
-            state[2:] = (value, diff,
-                         spread + _ROUNDING * h * state[1] + tail, done)
-        result = EvalResult(sum(s[2] for s in states),
-                            sum(s[4] for s in states), method, nodes)
-        if level == 0:
-            share = 0.25 * tol * max(1.0, abs(result.value)) / len(pieces)
-        converged = all(s[5] for s in states)
-        if converged and result.err_estimate <= 4 * len(pieces) * share:
-            return result
-        if converged or 2 * nodes > _MAX_NODES:
-            raise ToleranceNotMet(
-                f"{method} quadrature stalled at error "
-                f"{result.err_estimate:.3g} (tol {tol:.3g})",
-                result,
-            )
-        level += 1
+    try:
+        firsts = [_level_sums(piece, 0, 2.5e-5 * tol, _H0) for piece in pieces]
+        level0 = abs(_H0 * sum(f[0] for f in firsts))
+        share = 0.25 * tol * max(1.0, level0) / len(pieces)
+        value, err, nodes, converged = (
+            sum(col) for col in zip(*(_refine(piece, first, share)
+                                      for piece, first in zip(pieces, firsts))))
+    except (ArithmeticError, ValueError):
+        value, err, nodes, converged = complex(math.nan), math.inf, 0, 0
+    result = EvalResult(value, err, method, nodes)
+    if converged < len(pieces) or not err <= 4 * len(pieces) * share:
+        raise ToleranceNotMet(
+            f"{method} quadrature stalled at error {err:.3g} (tol {tol:.3g})",
+            result,
+        )
+    return result
 
 
 def _exp_sinh(f: RayIntegrand, lo: complex):
@@ -190,11 +181,7 @@ def pv_integrate_ray(f: RayIntegrand, pole: complex,
 
     # Regularity guard: a simple on-ray pole folds to a bounded integrand.
     delta = min(u0 / 2.0, 1.0)
-    try:
-        blown = abs(fold(1e-6 * delta)) > 1e6 * (abs(fold(0.5 * delta)) + 1.0)
-    except ArithmeticError:
-        blown = True
-    if blown:
+    if abs(fold(1e-6 * delta)) > 1e6 * (abs(fold(0.5 * delta)) + 1.0):
         raise PoleOffRay(
             "folded integrand blows up at the declared pole; "
             "pole location or order is wrong"
