@@ -242,10 +242,8 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
     if _is_real(z) and z.real >= 1.0 - 1e-14:
         raise DomainError("integral route needs z off the cut [1, oo)")
 
-    minus_a = -a
-
     def integrand(t: complex) -> complex:
-        return t ** (n - 1) * cmath.exp(minus_a * t) / (1.0 - z * cmath.exp(-t))
+        return t ** (n - 1) * cmath.exp(-a * t) / (1.0 - z * cmath.exp(-t))
 
     ray = RayIntegrand(integrand, 0.0, decay_rate=a.real, growth_degree=n - 1)
     try:
