@@ -24,7 +24,9 @@ from .result import EvalResult
 __all__ = ["RayIntegrand", "integrate_ray", "pv_integrate_ray"]
 
 _H0 = 0.5  # step in x at level 0
-_X_MAX = 4.5  # nodes lie in |x| <= _X_MAX
+# nodes lie in |x| <= _X_MAX[tanh_sinh]; beyond 3.2 the tanh-sinh weights
+# are below 2^-55, and next to a folded pole such nodes add only rounding
+_X_MAX = {False: 4.5, True: 3.2}
 _MAX_NODES = 37_500
 _ROUNDING = 10 * 2.0**-53
 
@@ -64,7 +66,7 @@ def _nodes(tanh_sinh: bool, level: int):
     step = 2 * h if level else h
     return tuple(
         tuple(_node(tanh_sinh, sign * (start + j * step))
-              for j in range(int((_X_MAX - start) / step) + 1))
+              for j in range(int((_X_MAX[tanh_sinh] - start) / step) + 1))
         for start, sign in ((h if level else 0.0, 1.0), (h, -1.0)))
 
 
