@@ -114,12 +114,10 @@ def _refine(piece, first, share: float):
         size += part_size
         nodes += count
         last, value = value, h * total
-        # abs of a NaN complex can raise on a stale errno, so test first
-        step = abs(value - last) if cmath.isfinite(value) else math.inf
-        diff, spread = step, max(diff, step)
+        diff, before = abs(value - last), diff
         done = level >= 2 and diff <= share
         if done or 2 * nodes > _MAX_NODES:
-            return (value, (diff if done else spread)
+            return (value, (diff if done else max(diff, before))
                     + _ROUNDING * h * size + tail, nodes, done)
     return value, math.inf, nodes, False
 
@@ -142,7 +140,7 @@ def _de_sum(pieces, tol: float, method: str) -> EvalResult:
         value, err, nodes, converged = (
             sum(col) for col in zip(*(_refine(piece, first, share)
                                       for piece, first in zip(pieces, firsts))))
-    except (ArithmeticError, ValueError):
+    except (ArithmeticError, ValueError):  # fun or abs(NaN) raised (stale errno)
         value, err, nodes, converged = complex(math.nan), math.inf, 0, 0
     result = EvalResult(value, err, method, nodes)
     if converged < len(pieces) or not err <= 4 * len(pieces) * share:
