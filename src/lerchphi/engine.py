@@ -242,8 +242,17 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
     if _is_real(z) and z.real >= 1.0 - 1e-14:
         raise DomainError("integral route needs z off the cut [1, oo)")
 
-    def integrand(t: complex) -> complex:
-        return t ** (n - 1) * cmath.exp(-a * t) / (1.0 - z * cmath.exp(-t))
+    if n == 1:
+        def integrand(t: complex) -> complex:
+            return cmath.exp(-a * t) / (1.0 - z * cmath.exp(-t))
+    else:
+        def integrand(t: complex) -> complex:
+            # t^(n-1) e^(-a t) as (t e^(-a t/(n-1)))^(n-1): for large n,
+            # t^(n-1) alone overflows where the product is finite.  a t is
+            # divided at each node, as a rounded a/(n-1) would shift every
+            # node alike and the result by n times its rounding error.
+            return ((t * cmath.exp(-a * t / (n - 1))) ** (n - 1)
+                    / (1.0 - z * cmath.exp(-t)))
 
     ray = RayIntegrand(integrand, 0.0, decay_rate=a.real, growth_degree=n - 1)
     try:
@@ -304,13 +313,28 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
         v = u * phase
         return (shifted(v) + shifted(-v)) * phase
 
+    # The poles t0 + 2 pi i k all have Re t = Re t0, and the wedge with apex
+    # 2 t0 between arg = phi and the real direction has Re t >= 2 Re t0, so
+    # the tail may leave 2 t0 along any ray of it; the decay rate, positive
+    # on both edges, is largest along the steepest descent of e^((a-1) t),
+    # where (a - 1) e^(i psi) is real and negative.
+    steepest = cmath.phase(-a1.conjugate())
+    psi = min(max(steepest, min(phi_angle, 0.0)), max(phi_angle, 0.0))
     ray = RayIntegrand(integrand, phi_angle, decay_rate=decay, growth_degree=n - 1)
+    tail = RayIntegrand(integrand, psi,
+                        decay_rate=-(a1 * cmath.exp(1j * psi)).real,
+                        growth_degree=n - 1)
     try:
-        pv, stall = pv_integrate_ray(ray, t0, fold, tol), None
+        pv, stall = pv_integrate_ray(ray, t0, fold, tol, tail=tail), None
     except ToleranceNotMet as exc:
         pv, stall = exc.result, exc
     trig = math.pi * _cpow(z, -a) * _cot_term(n, t0, cot_pi_taylor(n - 1, a))
     value = (-1.0) ** (n - 1) * (pv.value / g + trig)
+    if not cmath.isfinite(trig) or (stall is None and not cmath.isfinite(value)):
+        raise BeyondDoubleRange(
+            f"Phi({z}, {n}, {a}) is beyond the double range (principal-value "
+            f"route: value {value})"
+        )
     err = pv.err_estimate / g + 5e-16 * (n + 1) * abs(trig)
     result = EvalResult(value, err, "pv", pv.terms_or_nodes)
     if stall is not None:
@@ -353,8 +377,11 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
                                 0.5 * tol, 0.0)
     m = j - 1
     value = trig - tail
-    err = bound + 5e-16 * (n + 1) * abs(trig)
-    if not (cmath.isfinite(value) and math.isfinite(err)):
+    # no abs() of a value that is not finite: on a NaN part it can raise
+    # OverflowError when an earlier math call left errno at ERANGE
+    finite = cmath.isfinite(trig) and cmath.isfinite(value)
+    err = bound + 5e-16 * (n + 1) * abs(trig) if finite else math.nan
+    if not (finite and math.isfinite(err)):
         raise BeyondDoubleRange(
             f"Phi({w}, {n}, {b}) or its error bound is beyond the double "
             f"range (inverse-argument expansion: value {value}, bound {err})"

@@ -8,6 +8,15 @@ estimates the error from the difference of successive levels, a rounding
 floor and the last kept terms.  A principal value with one simple on-ray
 pole t0 folds [0, 2 t0] about the pole; the caller supplies the fold, as
 only it can form f(t0 + v) + f(t0 - v) without cancellation.
+
+The tail of a principal value, from 2 t0 to infinity, need not follow the
+pole's ray.  Where f is analytic in the wedge with apex 2 t0 between the
+pole's ray and the tail's ray, and decays across it, Cauchy's theorem lets
+the tail run along any ray of that wedge; the caller picks the one on which
+f decays fastest.  The rule converges at a rate set by the distance from
+the path to the nearest singularity (Mori & Sugihara, J. Comput. Appl. Math.
+127, 2001), so a tail that keeps clear of poles next to the pole's ray also
+stops at a low level.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ _H0 = 0.5  # step in x at level 0
 # are below 2^-55, and next to a folded pole such nodes add only rounding
 _X_MAX = {False: 4.5, True: 3.2}
 _MAX_NODES = 37_500
-_ROUNDING = 10 * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -97,12 +105,20 @@ def _level_sums(piece, level: int, cut: float, grow: float = 0.0):
     return scale * total, unit * size, unit * tail, nodes
 
 
-def _refine(piece, first, share: float):
+def _rounding(growth_degree: int) -> float:
+    """Relative rounding error of a term: 10 units of 2^-53, or 3 per power
+    of t, as t^g and e^(-r t) near its peak r |t| = g multiply the rounding
+    of t and of the exponent's argument g-fold."""
+    return 2.0**-53 * max(10, 3 * (growth_degree + 1))
+
+
+def _refine(piece, first, share: float, rounding: float):
     """(value, error estimate, nodes, converged) of one piece from its level-0
     sums: levels are added until, from level 2 on, two differ by at most
     share, or past _MAX_NODES.  The estimate is that difference (without
     convergence the larger of the last two, which are then noise of one
-    size) plus a rounding floor and the last kept terms."""
+    size) plus a rounding floor, rounding times the sum of the moduli, and
+    the last kept terms."""
     total, size, tail, nodes = first
     value, diff = _H0 * total, math.inf
     level = 0
@@ -118,13 +134,14 @@ def _refine(piece, first, share: float):
         done = level >= 2 and diff <= share
         if done or 2 * nodes > _MAX_NODES:
             return (value, (diff if done else max(diff, before))
-                    + _ROUNDING * h * size + tail, nodes, done)
+                    + rounding * h * size + tail, nodes, done)
     return value, math.inf, nodes, False
 
 
-def _de_sum(pieces, tol: float, method: str) -> EvalResult:
+def _de_sum(pieces, tol: float, method: str, growth_degree: int) -> EvalResult:
     """Sum of the integrals of the pieces (tanh_sinh, fun, lo, scale), each
-    of fun over t = lo + scale * offset, by the trapezoid rule in x.
+    of fun over t = lo + scale * offset, by the trapezoid rule in x; fun
+    grows like |t|^growth_degree.
 
     Level 0 walks until a term falls below 2.5e-5 tol max(1, |the piece's
     running sum|), which stops it before the integrand's factors overflow.
@@ -133,12 +150,13 @@ def _de_sum(pieces, tol: float, method: str) -> EvalResult:
     piece does not converge, the estimate misses 4 times the target or the
     integrand fails, ToleranceNotMet carries the result.
     """
+    rounding = _rounding(growth_degree)
     try:
         firsts = [_level_sums(piece, 0, 2.5e-5 * tol, _H0) for piece in pieces]
         level0 = abs(_H0 * sum(f[0] for f in firsts))
         share = 0.25 * tol * max(1.0, level0) / len(pieces)
         value, err, nodes, converged = (
-            sum(col) for col in zip(*(_refine(piece, first, share)
+            sum(col) for col in zip(*(_refine(piece, first, share, rounding)
                                       for piece, first in zip(pieces, firsts))))
     except (ArithmeticError, ValueError):  # fun or abs(NaN) raised (stale errno)
         value, err, nodes, converged = complex(math.nan), math.inf, 0, 0
@@ -160,16 +178,24 @@ def _exp_sinh(f: RayIntegrand, lo: complex):
 
 def integrate_ray(f: RayIntegrand, tol: float) -> EvalResult:
     """Integral of a pole-free integrand over the full ray, tail included."""
-    return _de_sum((_exp_sinh(f, 0j),), tol, "ray")
+    return _de_sum((_exp_sinh(f, 0j),), tol, "ray", f.growth_degree)
 
 
 def pv_integrate_ray(f: RayIntegrand, pole: complex,
-                     fold: Callable[[float], complex], tol: float) -> EvalResult:
-    """Cauchy principal value with one simple pole t0 = u0 e^(i phi) on the ray.
+                     fold: Callable[[float], complex], tol: float, *,
+                     tail: RayIntegrand) -> EvalResult:
+    """Cauchy principal value with one simple pole t0 = u0 e^(i phi) on the
+    ray arg t = phi = f.ray_angle.
 
     fold(u) must return (f(t0 + u e^(i phi)) + f(t0 - u e^(i phi))) e^(i phi),
     which is regular at u -> 0 for a simple pole; then
-    PV = int_0^u0 fold (tanh-sinh) + int_2u0^oo f (exp-sinh).
+    PV = int_0^u0 fold (tanh-sinh) + int_2t0^oo tail (exp-sinh), where the
+    second integral runs from 2 t0 along the ray arg = tail.ray_angle.
+
+    The caller's duty: tail.evaluate is f, analytic in the closed wedge with
+    apex 2 t0 between the rays arg = phi and arg = tail.ray_angle, and it
+    decays across that wedge, so that by Cauchy's theorem the tail along
+    either ray is the same.  tail = f (the pole's own ray) always qualifies.
     """
     t0 = complex(pole)
     proj = t0 * cmath.exp(-1j * f.ray_angle)
@@ -186,5 +212,5 @@ def pv_integrate_ray(f: RayIntegrand, pole: complex,
             "folded integrand blows up at the declared pole; "
             "pole location or order is wrong"
         )
-    return _de_sum(((True, fold, 0.0, u0), _exp_sinh(f, 2.0 * t0)), tol,
-                   "pv-ray")
+    return _de_sum(((True, fold, 0.0, u0), _exp_sinh(tail, 2.0 * t0)), tol,
+                   "pv-ray", max(f.growth_degree, tail.growth_degree))

@@ -9,6 +9,7 @@ first moved to Re b >= 1 with Phi(w, n, b) = sum_{m<k} w^m / (b+m)^n
 + w^k Phi(w, n, b+k), so that the integrand has one peak, at t = (n-1)/Re b.
 """
 
+import builtins
 import cmath
 import math
 
@@ -59,6 +60,15 @@ def test_phi_at_large_order(w, n, b):
     _assert_close(res.value, reference(w, n, b), res.err_estimate)
 
 
+@pytest.mark.parametrize("n", (108, 120, 150))
+def test_integral_on_the_negative_real_axis_at_large_order(n):
+    # t^(n-1) alone overflows at the first nodes from n = 108 on, where
+    # t^(n-1) e^(-a t) does not
+    res = engine.phi(-3.0 + 0j, n, 0.5, TOL)
+    assert res.method == "integral"
+    _assert_close(res.value, reference(-3.0 + 0j, n, 0.5), res.err_estimate)
+
+
 @pytest.mark.parametrize("n", (120, 200, 700))
 @pytest.mark.parametrize("N", (2, 3))
 def test_integer_shift_at_large_order(N, n):
@@ -96,3 +106,25 @@ def test_value_beyond_the_double_range_raises(n, capsys):
     assert cli.main(["eval", "--z", "0,3", "--n", str(n),
                      "--a", "2e-8,0"]) == 2
     assert "double range" in capsys.readouterr().err
+
+
+def test_pv_beyond_the_double_range_raises():
+    # |Phi(0.5i, 60, 1e-6)| is about 1e360: the cot coefficients of the trig
+    # term overflow, where the route returned NaN tagged plain pv
+    with pytest.raises(BeyondDoubleRange, match="double range"):
+        engine.phi_pv(0.5j, 60, 1e-6, TOL)
+
+
+def test_inverse_checks_finiteness_before_abs(monkeypatch):
+    # abs() of a complex with a NaN part raises OverflowError when an
+    # earlier failed math call left errno at ERANGE; this abs does so always
+    def leaky_abs(x):
+        if not cmath.isfinite(x):
+            raise OverflowError("absolute value too large")
+        return builtins.abs(x)
+
+    monkeypatch.setattr(engine, "cot_pi_taylor",
+                        lambda m, a: [complex(math.nan, math.nan)] * (m + 1))
+    monkeypatch.setattr(engine, "abs", leaky_abs, raising=False)
+    with pytest.raises(BeyondDoubleRange, match="double range"):
+        engine.phi_inverse(3j, 4, 0.3, TOL)

@@ -21,6 +21,12 @@ def real_ray(fun, decay, growth=0):
     return RayIntegrand(fun, 0.0, decay_rate=decay, growth_degree=growth)
 
 
+def pv_real_ray(fun, decay, pole, fold, tol):
+    """pv_integrate_ray on the real ray, its tail on that ray too."""
+    ray = real_ray(fun, decay)
+    return pv_integrate_ray(ray, pole, fold, tol, tail=ray)
+
+
 class TestIntegrateRay:
     def test_exponential(self):
         res = integrate_ray(real_ray(lambda t: cmath.exp(-t), 1.0), 1e-12)
@@ -89,7 +95,7 @@ class TestPrincipalValue:
         # e^(-u^2)/u - e^(-u^2)/u is zero, and what is left is the tail
         # beyond t = 2
         fun = lambda t: cmath.exp(-((t - 1) ** 2)) / (t - 1)
-        res = pv_integrate_ray(real_ray(fun, 1.0), 1.0, lambda u: 0j, 1e-10)
+        res = pv_real_ray(fun, 1.0, 1.0, lambda u: 0j, 1e-10)
         tail = scipy.integrate.quad(
             lambda u: math.exp(-(u**2)) / u, 1.0, math.inf
         )[0]
@@ -100,8 +106,8 @@ class TestPrincipalValue:
         # PV integral of e^(at)/(z e^t - 1) equals Phi(z, 1, a) there
         z, a = 0.5, 0.5
         fun = lambda t: cmath.exp((a - 1) * t) / (z - cmath.exp(-t))
-        res = pv_integrate_ray(real_ray(fun, 1 - a), -math.log(z),
-                               lerch_kernel_fold(z, a), 1e-10)
+        res = pv_real_ray(fun, 1 - a, -math.log(z), lerch_kernel_fold(z, a),
+                          1e-10)
         phi_ref = sum(z**m / (m + a) for m in range(200))  # direct series
         assert abs(res.value - phi_ref) < 1e-9
 
@@ -109,8 +115,23 @@ class TestPrincipalValue:
         # same kernel at a = 0.3: PV = Phi(z,1,a) - pi z^-a cot(pi a)
         z, a = 0.5, 0.3
         fun = lambda t: cmath.exp((a - 1) * t) / (z - cmath.exp(-t))
+        res = pv_real_ray(fun, 1 - a, -math.log(z), lerch_kernel_fold(z, a),
+                          1e-10)
+        phi_ref = sum(z**m / (m + a) for m in range(200))
+        expected = phi_ref - math.pi * z ** (-a) / math.tan(math.pi * a)
+        assert abs(res.value - expected) < 1e-9
+
+    @pytest.mark.parametrize("tail_angle", [0.5, -1.2])
+    def test_tail_along_another_ray_of_the_wedge(self, tail_angle):
+        # the kernel above: its poles ln 2 + 2 pi i k lie left of
+        # Re t = 2 ln 2, so the tail may leave 2 t0 along any ray into the
+        # right half-plane, and the principal value does not move
+        z, a = 0.5, 0.3
+        fun = lambda t: cmath.exp((a - 1) * t) / (z - cmath.exp(-t))
+        tail = RayIntegrand(fun, tail_angle,
+                            decay_rate=(1 - a) * math.cos(tail_angle))
         res = pv_integrate_ray(real_ray(fun, 1 - a), -math.log(z),
-                               lerch_kernel_fold(z, a), 1e-10)
+                               lerch_kernel_fold(z, a), 1e-10, tail=tail)
         phi_ref = sum(z**m / (m + a) for m in range(200))
         expected = phi_ref - math.pi * z ** (-a) / math.tan(math.pi * a)
         assert abs(res.value - expected) < 1e-9
@@ -122,16 +143,14 @@ class TestPrincipalValue:
         g = lambda t: cmath.exp(-t) / (t - t0)
         # f folds to 0; g folds to (e^(-t0-u) - e^(-t0+u))/u
         fold_g = lambda u: -2.0 * math.exp(-t0) * math.sinh(u) / u
-        pv_f = pv_integrate_ray(real_ray(f, 1.0), t0, lambda u: 0j,
-                                1e-10).value
-        pv_g = pv_integrate_ray(real_ray(g, 1.0), t0, fold_g, 1e-10).value
+        pv_f = pv_real_ray(f, 1.0, t0, lambda u: 0j, 1e-10).value
+        pv_g = pv_real_ray(g, 1.0, t0, fold_g, 1e-10).value
         for _ in range(3):
             alpha = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             beta = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             combo = lambda t: alpha * f(t) + beta * g(t)
-            pv_combo = pv_integrate_ray(
-                real_ray(combo, 1.0), t0, lambda u: beta * fold_g(u), 1e-10
-            ).value
+            pv_combo = pv_real_ray(combo, 1.0, t0, lambda u: beta * fold_g(u),
+                                   1e-10).value
             assert abs(pv_combo - (alpha * pv_f + beta * pv_g)) < 2e-9
 
     def test_dummy_far_pole_matches_plain_integral(self):
@@ -139,13 +158,13 @@ class TestPrincipalValue:
         fun = lambda t: cmath.exp(-2 * t)
         fold = lambda u: 2 * math.exp(-18) * math.cosh(2 * u)
         plain = integrate_ray(real_ray(fun, 2.0), 1e-11)
-        dummy = pv_integrate_ray(real_ray(fun, 2.0), 9.0, fold, 1e-11)
+        dummy = pv_real_ray(fun, 2.0, 9.0, fold, 1e-11)
         assert abs(plain.value - dummy.value) < 2e-11
 
     def test_pole_off_ray_rejected(self):
         fun = lambda t: 1.0 / (t - 1j)
         with pytest.raises(PoleOffRay):
-            pv_integrate_ray(real_ray(fun, 1.0), 1j, lambda u: 0j, 1e-8)
+            pv_real_ray(fun, 1.0, 1j, lambda u: 0j, 1e-8)
 
     def test_misdeclared_pole_location_fails_honestly(self):
         # true pole at 1, declared at 2: the fold keeps the pole at u = 1,
@@ -153,7 +172,7 @@ class TestPrincipalValue:
         fun = lambda t: cmath.exp(-((t - 1) ** 2)) / (t - 1)
         fold = lambda u: fun(2 + u) + fun(2 - u)
         with pytest.raises(ToleranceNotMet):
-            pv_integrate_ray(real_ray(fun, 1.0), 2.0, fold, 1e-8)
+            pv_real_ray(fun, 1.0, 2.0, fold, 1e-8)
 
     def test_double_pole_blows_up_fold(self):
         # declared simple, actually order two: the fold 2 e^(-u^2)/u^2
@@ -161,7 +180,7 @@ class TestPrincipalValue:
         fun = lambda t: cmath.exp(-((t - 1) ** 2)) / (t - 1) ** 2
         fold = lambda u: 2 * math.exp(-(u**2)) / u**2
         with pytest.raises(PoleOffRay):
-            pv_integrate_ray(real_ray(fun, 1.0), 1.0, fold, 1e-8)
+            pv_real_ray(fun, 1.0, 1.0, fold, 1e-8)
 
 
 def test_node_tables_are_built_on_first_use():
@@ -198,7 +217,7 @@ def carried(route, z, n, a, tol):
 # Work gates: nodes may fall, never rise, as the quadrature changes.
 @pytest.mark.parametrize("call, ceiling", [
     (lambda: phi_integral(0.999 * cmath.exp(0.7j), 2, 0.3 + 0.1j), 163),
-    (lambda: phi_pv(0.5 * cmath.exp(0.7j), 3, 0.75), 404),
+    (lambda: phi_pv(0.5 * cmath.exp(0.7j), 3, 0.75), 230),
 ], ids=["integral_r0.999", "pv_n3"])
 def test_probe_work(call, ceiling):
     assert call().terms_or_nodes <= ceiling
@@ -206,7 +225,7 @@ def test_probe_work(call, ceiling):
 
 @pytest.mark.parametrize("route, ceiling", [
     (phi_integral, 8328),
-    (phi_pv, 22355),
+    (phi_pv, 12443),
 ], ids=["integral", "pv"])
 def test_theorem1_work(route, ceiling):
     work = sum(carried(route, z, n, a, 1e-10).terms_or_nodes
@@ -244,3 +263,46 @@ def test_pv_estimate_holds_below_the_rounding_floor(tol):
         ref = complex(mpmath.lerchphi(0.5j, 4, 0.4))
     res = carried(phi_pv, 0.5j, 4, 0.4, tol)
     assert abs(res.value - ref) <= res.err_estimate
+
+
+def test_pv_tail_leaves_the_ray_next_to_the_circle():
+    # e^(2i) at |z| = 1 - 1.6e-10 (the CLI's band-in point): phi lies
+    # within 8e-11 of -pi/2, where e^((a-1) t) decays at 4.8e-11 along the
+    # pole's ray, next to the poles t0 + 2 pi i k; along the real direction
+    # it decays at 0.6
+    z = -0.4161468364805589 + 0.9092974266801941j
+    res = phi_pv(z, 3, 0.4, 1e-10)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.lerchphi(z, 3, 0.4))
+    assert res.terms_or_nodes <= 300
+    assert abs(res.value - ref) <= res.err_estimate
+
+
+def near_circle_pv_points(seed, per_band):
+    """(z, n, a) with |z| = 1 - 10^-k, k = 2..9, per_band of each, where the
+    principal value is admissible."""
+    rng = random.Random(seed)
+    points = []
+    for k in range(2, 10):
+        drawn = 0
+        while drawn < per_band:
+            z = (1 - 10.0**-k) * cmath.exp(1j * rng.uniform(-3.0, 3.0))
+            n = rng.randint(1, 4)
+            a = complex(rng.uniform(0.05, 0.95), rng.uniform(-1.0, 1.0))
+            phi_angle = cmath.phase(-cmath.log(z))
+            if ((a - 1) * cmath.exp(1j * phi_angle)).real >= 0:
+                continue
+            points.append((z, n, a))
+            drawn += 1
+    return points
+
+
+def test_pv_certifies_next_to_the_circle():
+    work = 0
+    for z, n, a in near_circle_pv_points(0, 3):
+        res = phi_pv(z, n, a, 1e-10)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.lerchphi(z, n, a))
+        assert abs(res.value - ref) <= res.err_estimate, (z, n, a)
+        work += res.terms_or_nodes
+    assert work <= 7158
