@@ -144,14 +144,6 @@ def _cpow(base: complex, expo: complex) -> complex:
     return cmath.exp(expo * cmath.log(base))
 
 
-def _expm1(w: complex) -> complex:
-    """e^w - 1, accurate for small |w|."""
-    half_sin = math.sin(0.5 * w.imag)
-    return complex(math.expm1(w.real) * math.cos(w.imag)
-                   - 2.0 * half_sin * half_sin,
-                   math.exp(w.real) * math.sin(w.imag))
-
-
 def _quadrature_scale(n: int, route: str) -> float:
     """float((n-1)!), which the quadrature routes divide by; DomainError for
     n >= 172, where it is beyond the double range."""
@@ -301,17 +293,39 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
         # e^((a-1) t) / (z - e^(-t))
         return t ** (n - 1) * cmath.exp(a1 * t) / (z - cmath.exp(-t))
 
-    def shifted(v: complex) -> complex:
-        # the integrand at t0 + v, with z - e^(-t0 - v) = -z expm1(-v) formed
-        # without cancellation, so the two sides of the fold cancel exactly
-        t = t0 + v
-        return t ** (n - 1) * cmath.exp(a1 * t) / (-z * _expm1(-v))
-
-    phase = cmath.exp(1j * phi_angle)
+    # The fold's sides lie at t = t0 (1 +- x), x = u/|t0| in [0, 1].  With
+    # e^(-t0) = z and E = e^(x t0) - 1, z - e^(-t) is z E/(1 + E) and -z E,
+    # formed without cancellation, so the sides' poles cancel exactly.
+    # With A = (a-1) t0, e^((a-1) t) is e^A/Y and e^A Y, Y = e^(-A x): one
+    # exponential per node.  Both sides share e^A's argument with Y's, so
+    # its rounding cancels at x = 1, where the mass of a fast decay sits,
+    # and Y's argument, small at x = 0, keeps the sides' ratio exact next to
+    # the pole.  Where -Re A > 700, e^A underflows and Y overflows, so an
+    # integer S moves e^S from Y to e^A, exactly: e^(A+S) Y keeps its
+    # value, and e^(A-S)/Y, below e^-700 there, becomes 0 once e^(A-S)
+    # underflows.  t0^(n-1) is a product, which overflows to a non-finite
+    # value, and so to a stall, where ** would raise.
+    p = float(n - 1)
+    big_a = a1 * t0
+    shift = float(max(0, math.floor(-big_a.real) - 700))
+    u0 = abs(t0)
+    outer = math.prod([t0] * (n - 1)) * t0 / (u0 * z)
+    near = cmath.exp(big_a + shift) * outer
+    far = cmath.exp(big_a - shift) * outer
+    neg_a, re_t0, half_im_t0 = -big_a, t0.real, 0.5 * t0.imag
 
     def fold(u: float) -> complex:
-        v = u * phase
-        return (shifted(v) + shifted(-v)) * phase
+        # E = e^(x t0) - 1 = expm1(x Re t0) + 2i s e^(x Re t0) e^(i x Im t0/2)
+        # with s = sin(x Im t0 / 2), free of cancellation for small x; the
+        # fold (far (1 + E) - near)/E is summed as (far - near)/E + far
+        x = u / u0
+        em = math.expm1(x * re_t0)
+        s = math.sin(x * half_im_t0)
+        grow = 2.0 * s * (1.0 + em)
+        e = complex(em - grow * s, grow * math.cos(x * half_im_t0))
+        y = cmath.exp(x * neg_a - shift)
+        far_side = (1.0 + x) ** p * (far / y if far else 0j)
+        return (far_side - (1.0 - x) ** p * near * y) / e + far_side
 
     # The poles t0 + 2 pi i k all have Re t = Re t0, and the wedge with apex
     # 2 t0 between arg = phi and the real direction has Re t >= 2 Re t0, so
@@ -320,7 +334,8 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     # where (a - 1) e^(i psi) is real and negative.
     steepest = cmath.phase(-a1.conjugate())
     psi = min(max(steepest, min(phi_angle, 0.0)), max(phi_angle, 0.0))
-    ray = RayIntegrand(integrand, phi_angle, decay_rate=decay, growth_degree=n - 1)
+    ray = RayIntegrand(integrand, phi_angle, decay_rate=decay,
+                       growth_degree=n - 1, exponent_rate=abs(a1))
     tail = RayIntegrand(integrand, psi,
                         decay_rate=-(a1 * cmath.exp(1j * psi)).real,
                         growth_degree=n - 1)
@@ -489,9 +504,10 @@ def extended_polylog(z: complex, n: int, a: complex, tol: float = 1e-10) -> Eval
 
 class _Row(NamedTuple):
     """phi's row for a region: the ROUTES names it tries in order (a route
-    that refuses with DomainError passes the point on), the DomainError text
-    when all refuse (else the last refusal stands), and whether a result
-    goes through degrade."""
+    that refuses with DomainError, or stalls with ToleranceNotMet, passes
+    the point on), the DomainError text when all refuse (else the last
+    refusal stands), and whether a result goes through degrade.  If no
+    route certifies and one stalled, the first stall stands."""
 
     routes: tuple
     refusal: str = ""
@@ -515,15 +531,17 @@ _ROUTE_TABLE = {
 def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     """Evaluate Phi(z, n, a) by the routes of the region of z.
 
-    Near the unit circle (within 1e-6) convergence degrades; results whose
-    tolerance could not be certified are returned with an honest error
-    estimate and a method tag ending in "(degraded)".  Non-finite z or a,
+    A route that stalls passes the point on to the next route of the row;
+    if none certifies, the first stall is raised.  Near the unit circle
+    (within 1e-6) convergence degrades; results whose tolerance could not
+    be certified are returned with an honest error estimate and a method
+    tag ending in "(degraded)".  Non-finite z or a,
     and a tol that is not finite and positive, raise DomainError.
     """
     z, a = _validate(z, n, a, tol)
     require_off_nonpositive_poles(a)
     row = _ROUTE_TABLE[classify(z)]
-    refused = None
+    refused = stalled = None
     for name in row.routes:
         try:
             if row.degraded:
@@ -533,6 +551,10 @@ def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
             raise
         except DomainError as exc:
             refused = exc
+        except ToleranceNotMet as exc:
+            stalled = stalled or exc
+    if stalled is not None:
+        raise stalled
     if row.refusal:
         raise DomainError(row.refusal.format(z=z))
     raise refused

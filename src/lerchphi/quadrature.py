@@ -42,12 +42,15 @@ _MAX_NODES = 37_500
 @dataclass(frozen=True)
 class RayIntegrand:
     """Integrand on the ray arg(t) = ray_angle with |f(t)| <~ e^(-decay_rate |t|)
-    up to a polynomial factor |t|^growth_degree."""
+    up to a polynomial factor |t|^growth_degree.  exponent_rate is |c| when
+    that decay comes from a factor e^(c t), whose value rounds with the
+    argument c t; a principal value counts it in its rounding floor."""
 
     evaluate: Callable[[complex], complex]
     ray_angle: float
     decay_rate: float
     growth_degree: int = 0
+    exponent_rate: float = 0.0
 
     def __post_init__(self):
         if not -math.pi / 2 < self.ray_angle < math.pi / 2:
@@ -66,24 +69,40 @@ def _node(tanh_sinh: bool, x: float):
     return math.exp(y), dy * math.exp(y)
 
 
-@functools.cache
-def _nodes(tanh_sinh: bool, level: int):
-    """(right, left): the nodes that the level adds on each side of x = 0,
-    ordered outward.  Built on first use, never at import."""
+def _sides(tanh_sinh: bool, level: int):
+    """(first x, step in x, node count) of the nodes that the level adds on
+    each side of x = 0, right side first, ordered outward."""
     h = _H0 / 2**level
     step = 2 * h if level else h
-    return tuple(
-        tuple(_node(tanh_sinh, sign * (start + j * step))
-              for j in range(int((_X_MAX[tanh_sinh] - start) / step) + 1))
-        for start, sign in ((h if level else 0.0, 1.0), (h, -1.0)))
+    return tuple((sign * start, sign * step,
+                  int((_X_MAX[tanh_sinh] - start) / step) + 1)
+                 for start, sign in ((h if level else 0.0, 1.0), (h, -1.0)))
+
+
+def _table_size(tanh_sinh: bool, level: int) -> int:
+    """Nodes in the level's table, counted without building it."""
+    return sum(count for _, _, count in _sides(tanh_sinh, level))
+
+
+@functools.cache
+def _nodes(tanh_sinh: bool, level: int):
+    """(right, left): the (offset, weight) pairs of _sides(tanh_sinh, level).
+    Built on first use, never at import."""
+    return tuple(tuple(_node(tanh_sinh, first + j * step) for j in range(count))
+                 for first, step, count in _sides(tanh_sinh, level))
 
 
 def _level_sums(piece, level: int, cut: float, grow: float = 0.0):
     """(sum of terms, sum of their moduli, last kept moduli, nodes) of the
     nodes the level adds to piece = (tanh_sinh, fun, lo, scale), each side
     summed outward until a term falls below cut max(1, grow |sum so far|).
-    Terms are summed on the unit map and scaled once at the end."""
+    A tanh-sinh piece walks its whole table: its mass may sit at one end,
+    as a folded pole's does at the far end, where a walk stopped by small
+    terms next to the middle would never arrive.  Terms are summed on the
+    unit map and scaled once at the end."""
     tanh_sinh, fun, lo, scale = piece
+    if tanh_sinh:
+        cut = 0.0
     unit = abs(scale)
     total = 0j
     size = tail = 0.0
@@ -105,17 +124,20 @@ def _level_sums(piece, level: int, cut: float, grow: float = 0.0):
     return scale * total, unit * size, unit * tail, nodes
 
 
-def _rounding(growth_degree: int) -> float:
+def _rounding(growth_degree: int, exponent: float = 0.0) -> float:
     """Relative rounding error of a term: 10 units of 2^-53, or 3 per power
     of t, as t^g and e^(-r t) near its peak r |t| = g multiply the rounding
-    of t and of the exponent's argument g-fold."""
-    return 2.0**-53 * max(10, 3 * (growth_degree + 1))
+    of t and of the exponent's argument g-fold; plus exponent, a bound on
+    |c t| where the terms lie, for a factor e^(c t) whose argument's
+    rounding the peak does not bound."""
+    return 2.0**-53 * (max(10, 3 * (growth_degree + 1)) + exponent)
 
 
 def _refine(piece, first, share: float, rounding: float):
     """(value, error estimate, nodes, converged) of one piece from its level-0
     sums: levels are added until, from level 2 on, two differ by at most
-    share, or past _MAX_NODES.  The estimate is that difference (without
+    share, or past _MAX_NODES walked nodes, or before a level whose table
+    would hold more than _MAX_NODES.  The estimate is that difference (without
     convergence the larger of the last two, which are then noise of one
     size) plus a rounding floor, rounding times the sum of the moduli, and
     the last kept terms."""
@@ -132,16 +154,17 @@ def _refine(piece, first, share: float, rounding: float):
         last, value = value, h * total
         diff, before = abs(value - last), diff
         done = level >= 2 and diff <= share
-        if done or 2 * nodes > _MAX_NODES:
+        if (done or 2 * nodes > _MAX_NODES
+                or _table_size(piece[0], level + 1) > _MAX_NODES):
             return (value, (diff if done else max(diff, before))
                     + rounding * h * size + tail, nodes, done)
     return value, math.inf, nodes, False
 
 
-def _de_sum(pieces, tol: float, method: str, growth_degree: int) -> EvalResult:
+def _de_sum(pieces, tol: float, method: str, rounding: float) -> EvalResult:
     """Sum of the integrals of the pieces (tanh_sinh, fun, lo, scale), each
-    of fun over t = lo + scale * offset, by the trapezoid rule in x; fun
-    grows like |t|^growth_degree.
+    of fun over t = lo + scale * offset, by the trapezoid rule in x; a term
+    rounds to a relative error of at most rounding.
 
     Level 0 walks until a term falls below 2.5e-5 tol max(1, |the piece's
     running sum|), which stops it before the integrand's factors overflow.
@@ -150,7 +173,6 @@ def _de_sum(pieces, tol: float, method: str, growth_degree: int) -> EvalResult:
     piece does not converge, the estimate misses 4 times the target or the
     integrand fails, ToleranceNotMet carries the result.
     """
-    rounding = _rounding(growth_degree)
     try:
         firsts = [_level_sums(piece, 0, 2.5e-5 * tol, _H0) for piece in pieces]
         level0 = abs(_H0 * sum(f[0] for f in firsts))
@@ -178,7 +200,7 @@ def _exp_sinh(f: RayIntegrand, lo: complex):
 
 def integrate_ray(f: RayIntegrand, tol: float) -> EvalResult:
     """Integral of a pole-free integrand over the full ray, tail included."""
-    return _de_sum((_exp_sinh(f, 0j),), tol, "ray", f.growth_degree)
+    return _de_sum((_exp_sinh(f, 0j),), tol, "ray", _rounding(f.growth_degree))
 
 
 def pv_integrate_ray(f: RayIntegrand, pole: complex,
@@ -196,6 +218,8 @@ def pv_integrate_ray(f: RayIntegrand, pole: complex,
     apex 2 t0 between the rays arg = phi and arg = tail.ray_angle, and it
     decays across that wedge, so that by Cauchy's theorem the tail along
     either ray is the same.  tail = f (the pole's own ray) always qualifies.
+    Both pieces reach |t| = 2 |t0|, so f.exponent_rate 2 |t0| joins the
+    rounding floor.
     """
     t0 = complex(pole)
     proj = t0 * cmath.exp(-1j * f.ray_angle)
@@ -212,5 +236,7 @@ def pv_integrate_ray(f: RayIntegrand, pole: complex,
             "folded integrand blows up at the declared pole; "
             "pole location or order is wrong"
         )
+    rounding = _rounding(max(f.growth_degree, tail.growth_degree),
+                         2.0 * abs(t0) * f.exponent_rate)
     return _de_sum(((True, fold, 0.0, u0), _exp_sinh(tail, 2.0 * t0)), tol,
-                   "pv-ray", max(f.growth_degree, tail.growth_degree))
+                   "pv-ray", rounding)

@@ -69,6 +69,15 @@ def test_integral_on_the_negative_real_axis_at_large_order(n):
     _assert_close(res.value, reference(-3.0 + 0j, n, 0.5), res.err_estimate)
 
 
+@pytest.mark.parametrize("n", (151, 160, 171))
+def test_a_stall_passes_the_point_on(n):
+    # the integral's sum, (n-1)! Phi, overflows from n = 151 on and the
+    # route stalls; the row passes the point on to the inverse route
+    res = engine.phi(-3.0 + 0j, n, 0.5, TOL)
+    assert res.method == "inverse"
+    _assert_close(res.value, reference(-3.0 + 0j, n, 0.5), res.err_estimate)
+
+
 @pytest.mark.parametrize("n", (120, 200, 700))
 @pytest.mark.parametrize("N", (2, 3))
 def test_integer_shift_at_large_order(N, n):

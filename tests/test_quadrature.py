@@ -11,6 +11,7 @@ import mpmath
 import pytest
 import scipy.integrate
 
+from lerchphi import quadrature
 from lerchphi.cli import _sample_disc_z
 from lerchphi.engine import phi_integral, phi_pv
 from lerchphi.errors import DomainError, PoleOffRay, ToleranceNotMet
@@ -306,3 +307,81 @@ def test_pv_certifies_next_to_the_circle():
         assert abs(res.value - ref) <= res.err_estimate, (z, n, a)
         work += res.terms_or_nodes
     assert work <= 7158
+
+
+def negative_shift_points(seed, per_z):
+    """(z, n, a) from the grid z in {0.5, 0.2 - 0.1i, 0.05, 0.003 + 0.01i,
+    1e-5 + 1e-5i}, a = 0.4 - k + 0.1i, k in {0, 2, 5, 10, 20, 40, 80, 150,
+    300}, n = 1..3: per_z shifts of each z, each with one order.  As k
+    grows, -Re((a-1) t0) does too, the fold's mass moves to its far end and
+    e^((a-1) t0) underflows."""
+    rng = random.Random(seed)
+    points = []
+    for z in (0.5, 0.2 - 0.1j, 0.05, 0.003 + 0.01j, 1e-5 + 1e-5j):
+        for k in rng.sample((0, 2, 5, 10, 20, 40, 80, 150, 300), per_z):
+            points.append((z, rng.randint(1, 3), complex(0.4 - k, 0.1)))
+    return points
+
+
+def test_pv_certifies_at_negative_shifts():
+    for z, n, a in negative_shift_points(11, 6):
+        res = phi_pv(z, n, a, 1e-10)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.lerchphi(z, n, a))
+        assert abs(res.value - ref) <= res.err_estimate, (z, n, a)
+
+
+@pytest.mark.parametrize("z, n, a", [
+    (0.2 - 0.1j, 1, -79.6 + 0.1j),
+    (0.2 - 0.1j, 2, -79.6 + 0.1j),
+    (0.2 - 0.1j, 3, -79.6 + 0.1j),
+    (0.05, 1, -39.6 + 0.1j),
+    (0.05, 2, -39.6 + 0.1j),
+    (0.05, 3, -39.6 + 0.1j),
+])
+def test_pv_fold_walks_to_its_far_end(z, n, a):
+    # the fold's mass sits next to u0, where a walk that stops at the
+    # first small term from the middle never arrives: it returned about 0
+    # with an estimate near 1e-17 after 12 nodes
+    res = phi_pv(z, n, a, 1e-10)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.lerchphi(z, n, a))
+    assert abs(res.value - ref) <= res.err_estimate
+    assert res.err_estimate <= 1e-10 * max(1.0, abs(res.value))
+
+
+@pytest.fixture
+def table_sizes(monkeypatch):
+    """Sizes of the node tables the quadrature asks for from here on."""
+    sizes = []
+    nodes = quadrature._nodes
+
+    def recording(tanh_sinh, level):
+        table = nodes(tanh_sinh, level)
+        sizes.append(sum(len(side) for side in table))
+        return table
+
+    monkeypatch.setattr(quadrature, "_nodes", recording)
+    return sizes
+
+
+def test_pv_piece_cannot_run_away(table_sizes):
+    # the fold walked 2 nodes a level here, while each level's table
+    # doubled: 419,430 nodes at level 16, for more than a minute
+    z, n, a = 0.003 + 0.01j, 1, -19.6 + 0.1j
+    res = phi_pv(z, n, a, 1e-10)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.lerchphi(z, n, a))
+    assert abs(res.value - ref) <= res.err_estimate
+    assert res.terms_or_nodes <= 211
+    assert max(table_sizes) <= quadrature._MAX_NODES
+
+
+def test_a_piece_ends_before_its_table_passes_the_cap(table_sizes):
+    # only the level-0 node at t = 1 is nonzero: each later level walks one
+    # node a side, halves the value and never converges
+    spike = real_ray(lambda t: 1.0 if t == 1.0 else 0.0, 1.0)
+    with pytest.raises(ToleranceNotMet) as info:
+        integrate_ray(spike, 1e-10)
+    assert info.value.result.terms_or_nodes < 100
+    assert max(table_sizes) <= quadrature._MAX_NODES
