@@ -396,7 +396,9 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
     # OverflowError when an earlier math call left errno at ERANGE
     finite = cmath.isfinite(trig) and cmath.isfinite(value)
     err = bound + 5e-16 * (n + 1) * abs(trig) if finite else math.nan
-    if not (finite and math.isfinite(err)):
+    # on the circle with n = 1 the tail bound is infinite for a finite
+    # value: a stall, not a value beyond the double range
+    if not finite:
         raise BeyondDoubleRange(
             f"Phi({w}, {n}, {b}) or its error bound is beyond the double "
             f"range (inverse-argument expansion: value {value}, bound {err})"

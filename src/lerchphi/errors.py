@@ -27,8 +27,9 @@ class DivergentAtOne(DomainError):
 
 
 class BeyondDoubleRange(DomainError):
-    """The value, or its error bound, is beyond the double range; phi ends
-    its route row there, since no route can return it."""
+    """The value is beyond the double range; phi ends its route row there,
+    since no route can return it.  A finite value with an infinite error
+    bound is a stall, ToleranceNotMet, not this."""
 
 
 class PoleOffRay(DomainError):

@@ -5,9 +5,14 @@ exp-sinh, u = c + s e^((pi/2) sinh x), on [c, oo) and tanh-sinh,
 u = L (1 + tanh((pi/2) sinh x)) / 2, on [0, L].  One driver, _de_sum, halves
 the step in x at each level, so that a level adds only the odd nodes, and
 estimates the error from the difference of successive levels, a rounding
-floor and the last kept terms.  A principal value with one simple on-ray
-pole t0 folds [0, 2 t0] about the pole; the caller supplies the fold, as
-only it can form f(t0 + v) + f(t0 - v) without cancellation.
+floor and the last kept terms.  The difference d_L of levels L and L-1 is
+the error of level L-1; a rule's error roughly squares with each halving,
+so once the contraction d_L/d_(L-1) is no slower than d_(L-1)/d_(L-2), the
+error of level L is estimated as d_L^2/d_(L-1) (Bailey, Jeyabalan & Li,
+Experimental Math. 14, 2005), and a piece stops a level sooner than d_L
+alone would allow.  A principal value with one simple on-ray pole t0 folds
+[0, 2 t0] about the pole; the caller supplies the fold, as only it can form
+f(t0 + v) + f(t0 - v) without cancellation.
 
 The tail of a principal value, from 2 t0 to infinity, need not follow the
 pole's ray.  Where f is analytic in the wedge with apex 2 t0 between the
@@ -95,7 +100,8 @@ def _nodes(tanh_sinh: bool, level: int):
 def _level_sums(piece, level: int, cut: float, grow: float = 0.0):
     """(sum of terms, sum of their moduli, last kept moduli, nodes) of the
     nodes the level adds to piece = (tanh_sinh, fun, lo, scale), each side
-    summed outward until a term falls below cut max(1, grow |sum so far|).
+    summed outward until a term falls below cut max(1, grow |sum so far|);
+    such a side counts that cut, not its last term, among the last kept.
     A tanh-sinh piece walks its whole table: its mass may sit at one end,
     as a folded pole's does at the far end, where a walk stopped by small
     terms next to the middle would never arrive.  Terms are summed on the
@@ -117,6 +123,7 @@ def _level_sums(piece, level: int, cut: float, grow: float = 0.0):
             size += mag
             nodes += 1
             if mag < limit:
+                mag = limit  # the terms past it may rise again
                 break
             if grow:
                 limit = cut / unit * max(1.0, grow * unit * abs(total))
@@ -135,14 +142,17 @@ def _rounding(growth_degree: int, exponent: float = 0.0) -> float:
 
 def _refine(piece, first, share: float, rounding: float):
     """(value, error estimate, nodes, converged) of one piece from its level-0
-    sums: levels are added until, from level 2 on, two differ by at most
-    share, or past _MAX_NODES walked nodes, or before a level whose table
-    would hold more than _MAX_NODES.  The estimate is that difference (without
-    convergence the larger of the last two, which are then noise of one
-    size) plus a rounding floor, rounding times the sum of the moduli, and
-    the last kept terms."""
+    sums.  Levels are added until the error estimate of the last one is at
+    most share, or past _MAX_NODES walked nodes, or before a level whose
+    table would hold more than _MAX_NODES.  With d_L = |I_L - I_(L-1)|, that
+    estimate is d_L^2/d_(L-1) where the contraction speeds up, d_L/d_(L-1)
+    <= d_(L-1)/d_(L-2) < 1, and d_L from level 2 on otherwise.  A zero or
+    growing earlier difference leaves no contraction to extrapolate.  The
+    estimate returned is that one (without convergence the larger of the
+    last two differences, which are then noise of one size) plus a rounding
+    floor, rounding times the sum of the moduli, and the last kept terms."""
     total, size, tail, nodes = first
-    value, diff = _H0 * total, math.inf
+    value, diff, before = _H0 * total, math.inf, math.inf
     level = 0
     while cmath.isfinite(value):
         level += 1
@@ -152,11 +162,16 @@ def _refine(piece, first, share: float, rounding: float):
         size += part_size
         nodes += count
         last, value = value, h * total
-        diff, before = abs(value - last), diff
-        done = level >= 2 and diff <= share
+        diff, before, older = abs(value - last), diff, before
+        if 0 < before < older and diff / before <= before / older:
+            estimate = diff * (diff / before)
+            done = estimate <= share
+        else:
+            estimate = diff
+            done = level >= 2 and diff <= share
         if (done or 2 * nodes > _MAX_NODES
                 or _table_size(piece[0], level + 1) > _MAX_NODES):
-            return (value, (diff if done else max(diff, before))
+            return (value, (estimate if done else max(diff, before))
                     + rounding * h * size + tail, nodes, done)
     return value, math.inf, nodes, False
 

@@ -4,6 +4,8 @@ import cmath
 import math
 from math import factorial
 
+import mpmath
+
 from lerchphi.errors import DomainError
 from lerchphi.special_functions import _polylog_sum
 
@@ -35,3 +37,38 @@ def phi_integer_a_explicit(w: complex, n: int, N: int) -> complex:
         - (-1.0) ** n * li_val
     )
     return w ** (-N) * inner
+
+
+def shifted_integral(w: complex, n: int, b: complex, dps: int = 30) -> complex:
+    """Phi(w, n, b) for w off [1, oo) by mpmath quadrature of
+
+        Phi(w, n, b) = int_0^oo t^(n-1)/(n-1)! e^(-b t) / (1 - w e^(-t)) dt,
+
+    which is the library's continuation there.  The shift is first moved to
+    Re b >= 1 with Phi(w, n, b) = sum_{m<k} w^m / (b+m)^n + w^k Phi(w, n, b+k),
+    so that the integrand has one peak, at t = (n-1)/Re b."""
+    with mpmath.workdps(dps):
+        ww, bb = mpmath.mpc(w), mpmath.mpc(b)
+        k = max(0, math.ceil(1.0 - b.real))
+        head = mpmath.fsum(ww ** m / (bb + m) ** n for m in range(k))
+        c = bb + k
+        log_g = mpmath.loggamma(n)
+
+        def integrand(t):
+            # t^(n-1) / (n-1)! without forming either factor
+            return (mpmath.exp((n - 1) * mpmath.log(t) - log_g - c * t)
+                    / (1 - ww * mpmath.exp(-t)))
+
+        peak = max(n - 1, 1) / c.real
+        nodes = [0] + [f * peak for f in (0.25, 0.5, 1, 2, 4)] + [mpmath.inf]
+        return complex(head + ww ** k * mpmath.quad(integrand, nodes))
+
+
+def lerch_reference(z: complex, n: int, a: complex, dps: int = 30) -> complex:
+    """Phi(z, n, a) at dps digits: mpmath.lerchphi inside the unit disc, and
+    shifted_integral outside it, where mpmath follows another continuation
+    than the library's principal branch for complex a."""
+    if abs(z) < 1.0:
+        with mpmath.workdps(dps):
+            return complex(mpmath.lerchphi(z, n, a))
+    return shifted_integral(z, n, a, dps)

@@ -396,6 +396,23 @@ class TestDispatcher:
         ref = mp_ref(cmath.exp(2j) * (1 + 1e-7), 2, 0.4)
         assert abs(res.value - ref) <= res.err_estimate
 
+    @pytest.mark.parametrize("z, a, ref", [
+        (-1.0, 0.5, math.pi / 2),
+        (1 + 1e-8j, 1.3 + 0.2j, None),
+    ])
+    def test_circle_at_order_one_is_a_stall(self, z, a, ref):
+        # on |z| = 1 with n = 1 the inverse route's tail bound is infinite
+        # while its value is finite: a stall, which the band row degrades,
+        # not a value beyond the double range
+        with pytest.raises(ToleranceNotMet) as info:
+            phi_inverse(z, 1, a)
+        assert info.value.result.err_estimate == math.inf
+        res = phi(z, 1, a)
+        assert res.method == "inverse (degraded)"
+        assert cmath.isfinite(res.value) and res.err_estimate == math.inf
+        if ref is not None:
+            assert abs(res.value - ref) < 1e-4
+
     def test_pole_guard(self):
         with pytest.raises(PoleAtNonPositiveInteger):
             phi(0.5, 2, -2.0 + 1e-9j)

@@ -1,46 +1,24 @@
 """Large orders n against an independent reference.
 
-The reference is a 30-digit mpmath quadrature of the integral representation
-
-    Phi(w, n, b) = int_0^oo t^(n-1)/(n-1)! e^(-b t) / (1 - w e^(-t)) dt,
-
-which is the library's continuation for every w off [1, oo).  The shift is
-first moved to Re b >= 1 with Phi(w, n, b) = sum_{m<k} w^m / (b+m)^n
-+ w^k Phi(w, n, b+k), so that the integrand has one peak, at t = (n-1)/Re b.
+The reference is oracles.shifted_integral, a 30-digit mpmath quadrature of
+the integral representation, which is the library's continuation for every
+w off [1, oo).
 """
 
 import builtins
 import cmath
 import math
 
-import mpmath
 import pytest
 
 from lerchphi import cli, engine
 from lerchphi.errors import BeyondDoubleRange, DomainError, LerchError
+from oracles import shifted_integral as reference
 
 TOL = 1e-10
 ORDERS = (16, 32, 64, 120, 171, 200)
 ARGUMENTS = (3j, 5 * cmath.exp(0.7j), -4 + 1j, 1.3 * cmath.exp(2.5j))
 SHIFTS = (0.5, 0.3 + 0.2j, -1.5 + 0.5j)
-
-
-def reference(w, n, b):
-    with mpmath.workdps(30):
-        ww, bb = mpmath.mpc(w), mpmath.mpc(b)
-        k = max(0, math.ceil(1.0 - b.real))
-        head = mpmath.fsum(ww ** m / (bb + m) ** n for m in range(k))
-        c = bb + k
-        log_g = mpmath.loggamma(n)
-
-        def integrand(t):
-            # t^(n-1) / (n-1)! without forming either factor
-            return (mpmath.exp((n - 1) * mpmath.log(t) - log_g - c * t)
-                    / (1 - ww * mpmath.exp(-t)))
-
-        peak = (n - 1) / c.real
-        nodes = [0] + [f * peak for f in (0.25, 0.5, 1, 2, 4)] + [mpmath.inf]
-        return complex(head + ww ** k * mpmath.quad(integrand, nodes))
 
 
 def _assert_close(value, ref, bound=math.inf):
