@@ -124,6 +124,16 @@ def commands():
          ["eval", "--z=-3,0", "--n", "2", "--a", "0.3,0"]),
         ("eval-negative-real-re-a-negative",
          ["eval", "--z=-3,0", "--n", "2", "--a=-0.4,0"]),
+        # the band row without --method, on both sides of the circle and
+        # at Re a <= 0; next to z = 1 the integral refuses, and the inverse
+        # route's stall shows as "(degraded)"
+        ("eval-band-in", ["eval", *METHOD_POINTS["band-in"]]),
+        ("eval-band-out", ["eval", *METHOD_POINTS["band-out"]]),
+        ("eval-band-re-a-negative",
+         ["eval", "--z=-0.4161468364805589,0.9092974266801941", "--n", "3",
+          "--a=-1.6,0.3"]),
+        ("eval-band-next-to-one",
+         ["eval", "--z", "1,1e-8", "--n", "1", "--a", "1.3,0.2"]),
         ("sweep-empty", ["sweep", "--abs-z", "0.2:0.8:0", "--arg-z", "0:1:2",
                          "--a-re", "0.5:0.5:1", "--a-im", "0:0:1", "--n", "2",
                          "--out", "-"]),

@@ -1,12 +1,15 @@
 """Evaluation routes for Phi(z, n, a) with positive integer order n.
 
 Five routes cover the z-plane: the defining power series inside the unit
-disc, the exponential-kernel integral for Re a > 0, the principal-value ray
+disc, the exponential-kernel integral, shifted to Re a >= 1 by
+Phi(z, n, a) = sum_{m<k} z^m/(a+m)^n + z^k Phi(z, n, a+k), wherever its pole
+log z keeps clear of the path [0, oo), the principal-value ray
 representation inside the cut disc, the inverse-argument expansion outside
 the circle, and the Laurent finite-part route for integer shifts.  All
 powers use the principal logarithm, arg in (-pi, pi], which is what makes
 the sign of phi = arg(-ln z) meaningful.  The dispatcher phi tries the
-routes of the row of _ROUTE_TABLE that classify(z) picks.
+routes of the row of _ROUTE_TABLE that classify(z) picks, and returns a
+certified value or raises.
 
 The trigonometric side of the symmetry relation, in pv, inverse and
 symmetry_transform, and the integer-shift finite part are one quantity, a
@@ -69,13 +72,17 @@ _AXIS_RTOL = 1e-14
 # integer-shift (Laurent finite part) route.
 _INTEGER_SHIFT_GUARD = 1e-8
 
+# The integral route refuses z whose pole log z lies nearer than this to its
+# path [0, oo): next to the path a DE level sequence can contract early and
+# certify an estimate far below its error.
+_POLE_CLEARANCE = 0.1
+
 
 class Region(Enum):
     """Where z lies, as phi's route table (_ROUTE_TABLE) sees it."""
 
     INSIDE_DISC = "InsideDiscD"  # |z| <= 1 - 1e-6, z = 0 included
-    BAND_INSIDE = "BandInside"  # 1 - 1e-6 < |z| < 1 off the positive axis
-    BAND_OUTSIDE = "BandOutside"  # 1 <= |z| < 1 + 1e-6 off the positive axis
+    BAND = "Band"  # 1 - 1e-6 < |z| < 1 + 1e-6 off the positive axis
     ONE = "One"  # within 1e-12 of z = 1
     NEAR_ONE = "NearOne"  # the positive axis inside the band, not ONE
     EXTERIOR = "Exterior"  # |z| >= 1 + 1e-6 off the real line
@@ -188,7 +195,7 @@ def classify(z: complex) -> Region:
         return Region.ONE
     if _on_positive_real_axis(z):
         return Region.NEAR_ONE
-    return Region.BAND_INSIDE if r < 1.0 else Region.BAND_OUTSIDE
+    return Region.BAND
 
 
 # ---------------------------------------------------------------------------
@@ -223,38 +230,68 @@ def phi_series(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult
 
 
 # ---------------------------------------------------------------------------
-# Route 2: exponential-kernel integral, Re a > 0, z off [1, oo)
+# Route 2: exponential-kernel integral, shifted to Re a >= 1, z off [1, oo)
 
 def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
-    """(1/(n-1)!) * integral over t in [0, oo) of t^(n-1) e^(-a t) / (1 - z e^(-t))."""
+    """sum_{m<k} z^m/(a+m)^n + z^k Phi(z, n, a+k), k = max(0, ceil(1 - Re a)),
+    with Phi(z, n, b) = (1/(n-1)!) * integral over t in [0, oo) of
+    t^(n-1) e^(-b t) / (1 - z e^(-t)) at Re b >= 1.
+
+    The integrand's poles are t = log z + 2 pi i j.  The nearest to the path
+    [0, oo) is log z; where it lies within 0.1 of the path the route
+    refuses, as the quadrature's error estimate can miss there.  The
+    estimate counts the head's rounding, (n + 3) 2^-53 sum_{m<k}
+    |z^m/(a+m)^n|, and the whole estimate is checked against tol; the head
+    terms count among terms_or_nodes."""
     z, a = _validate(z, n, a, tol)
     g = _quadrature_scale(n, "integral route")
-    if a.real <= 0:
-        raise DomainError(f"integral route needs Re a > 0, got {a}")
-    if _is_real(z) and z.real >= 1.0 - 1e-14:
-        raise DomainError("integral route needs z off the cut [1, oo)")
+    require_off_nonpositive_poles(a)
+    if z:
+        log_z = cmath.log(z)
+        clearance = abs(log_z.imag) if log_z.real >= 0 else abs(log_z)
+        if clearance < _POLE_CLEARANCE:
+            raise DomainError(
+                f"integral route needs its pole log z at least "
+                f"{_POLE_CLEARANCE:g} from the path [0, oo); got z = {z}, "
+                f"distance {clearance:.3g}"
+            )
+    k = max(0, math.ceil(1.0 - a.real))
+    b = a + k
 
     if n == 1:
         def integrand(t: complex) -> complex:
-            return cmath.exp(-a * t) / (1.0 - z * cmath.exp(-t))
+            return cmath.exp(-b * t) / (1.0 - z * cmath.exp(-t))
     else:
         def integrand(t: complex) -> complex:
-            # t^(n-1) e^(-a t) as (t e^(-a t/(n-1)))^(n-1): for large n,
-            # t^(n-1) alone overflows where the product is finite.  a t is
-            # divided at each node, as a rounded a/(n-1) would shift every
+            # t^(n-1) e^(-b t) as (t e^(-b t/(n-1)))^(n-1): for large n,
+            # t^(n-1) alone overflows where the product is finite.  b t is
+            # divided at each node, as a rounded b/(n-1) would shift every
             # node alike and the result by n times its rounding error.
-            return ((t * cmath.exp(-a * t / (n - 1))) ** (n - 1)
+            return ((t * cmath.exp(-b * t / (n - 1))) ** (n - 1)
                     / (1.0 - z * cmath.exp(-t)))
 
-    ray = RayIntegrand(integrand, 0.0, decay_rate=a.real, growth_degree=n - 1)
+    ray = RayIntegrand(integrand, 0.0, decay_rate=b.real, growth_degree=n - 1)
     try:
         res, stall = integrate_ray(ray, tol), None
     except ToleranceNotMet as exc:
         res, stall = exc.result, exc
-    result = EvalResult(res.value / g, res.err_estimate / g, "integral",
-                        res.terms_or_nodes)
+    value, err = res.value / g, res.err_estimate / g
+    if k:
+        head, _, _ = _power_sum(z, a, 1, n, 0, k, k, 0.0, 0.0)
+        try:
+            zk = z ** k
+            size = sum(abs(z) ** m * abs(a + m) ** -n for m in range(k))
+        except OverflowError:  # a power beyond the double range: a stall
+            zk, size = complex(math.inf), math.inf
+        value = head + zk * value
+        err = abs(zk) * err + (n + 3) * 2.0**-53 * size
+    result = EvalResult(value, err, "integral", res.terms_or_nodes + k)
     if stall is not None:
         raise ToleranceNotMet(f"integral route: {stall}", result) from stall
+    # no abs() of a value that is not finite (see phi_inverse)
+    if not (cmath.isfinite(value) and err <= tol * max(1.0, abs(value))):
+        raise ToleranceNotMet(
+            f"integral route error {err:.3g} above tolerance", result)
     return result
 
 
@@ -429,7 +466,7 @@ def _integer_shift_limit(n: int, log_w: complex, extra0: complex = 0j) -> comple
 def phi_integer_a(w: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     """Phi(w, n, a) for |w| > 1 off [0, oo) and a within 1e-8 of a positive
     integer N: the finite-part route at N.  For a != N the substitution slack
-    4 (n + 1) |a - N| (1 + |value|) is added to the error estimate after the
+    4 (n + 1) |a - N| (1 + |value|) joins the error estimate before the
     tolerance check."""
     w, a = _validate(w, n, a, tol)
     N = _near_positive_integer(a)
@@ -452,13 +489,13 @@ def phi_integer_a(w: complex, n: int, a: complex, tol: float = 1e-10) -> EvalRes
     err = (abs(w_neg_n) * (li_err + 2e-15 * (abs(inner) + 1.0))
            + 2e-15 * abs(shift))
     terms = li_terms + max(0, N - 1)
+    if a != N:
+        err += abs(a - N) * (n + 1) * (1.0 + abs(value)) * 4.0
     if err > tol * max(1.0, abs(value)):
         raise ToleranceNotMet(
             f"integer-shift route error {err:.3g} above tolerance",
             EvalResult(value, err, "integer-a", terms),
         )
-    if a != N:
-        err += abs(a - N) * (n + 1) * (1.0 + abs(value)) * 4.0
     return EvalResult(value, err, "integer-a", terms)
 
 
@@ -507,23 +544,23 @@ def extended_polylog(z: complex, n: int, a: complex, tol: float = 1e-10) -> Eval
 class _Row(NamedTuple):
     """phi's row for a region: the ROUTES names it tries in order (a route
     that refuses with DomainError, or stalls with ToleranceNotMet, passes
-    the point on), the DomainError text when all refuse (else the last
-    refusal stands), and whether a result goes through degrade.  If no
-    route certifies and one stalled, the first stall stands."""
+    the point on), and the DomainError text when all refuse (else the last
+    refusal stands).  If no route certifies and one stalled, the first
+    stall stands."""
 
     routes: tuple
     refusal: str = ""
-    degraded: bool = False
 
 
+# series refuses |z| > 1 + 1e-12 and inverse |z| < 1 - 1e-12, so one band
+# row serves both sides of the circle
 _ROUTE_TABLE = {
-    Region.INSIDE_DISC: _Row(("series",)),
-    Region.BAND_INSIDE: _Row(("series",), degraded=True),
-    Region.BAND_OUTSIDE: _Row(("inverse", "integer-a"), degraded=True),
+    Region.INSIDE_DISC: _Row(("series", "integral")),
+    Region.BAND: _Row(("integral", "series", "inverse", "integer-a")),
     Region.ONE: _Row(("series",), "singular stratum z=1, n=1"),
     Region.NEAR_ONE: _Row(
         (), f"z = {{z}} within {_CIRCLE_BAND:g} of the singular point z = 1"),
-    Region.EXTERIOR: _Row(("inverse", "integer-a")),
+    Region.EXTERIOR: _Row(("inverse", "integer-a", "integral")),
     Region.EXTERIOR_NEGATIVE_REAL: _Row(("integral", "inverse", "integer-a")),
     Region.CUT: _Row((), "z = {z} on the singular cut (1, oo); no implemented "
                          "representation applies"),
@@ -533,12 +570,12 @@ _ROUTE_TABLE = {
 def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     """Evaluate Phi(z, n, a) by the routes of the region of z.
 
-    A route that stalls passes the point on to the next route of the row;
-    if none certifies, the first stall is raised.  Near the unit circle
-    (within 1e-6) convergence degrades; results whose tolerance could not
-    be certified are returned with an honest error estimate and a method
-    tag ending in "(degraded)".  Non-finite z or a,
-    and a tol that is not finite and positive, raise DomainError.
+    Returns the result of the first route of the row that certifies the
+    point, or raises a LerchError; it never returns an uncertified result.
+    A route that refuses or stalls passes the point on to the next route of
+    the row; if none certifies, the first stall is raised as ToleranceNotMet,
+    which carries that route's result.  Non-finite z or a, and a tol that
+    is not finite and positive, raise DomainError.
     """
     z, a = _validate(z, n, a, tol)
     require_off_nonpositive_poles(a)
@@ -546,8 +583,6 @@ def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     refused = stalled = None
     for name in row.routes:
         try:
-            if row.degraded:
-                return degrade(ROUTES[name], z, n, a, tol)
             return ROUTES[name](z, n, a, tol)
         except BeyondDoubleRange:
             raise
@@ -564,7 +599,8 @@ def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
 
 def degrade(route, z: complex, n: int, a: complex, tol: float) -> EvalResult:
     """route(z, n, a, tol); if it raises ToleranceNotMet, the result that
-    exception carries, with its method tagged "(degraded)"."""
+    exception carries, with its method tagged "(degraded)".  The CLI shows
+    an uncertified point this way; phi itself never degrades."""
     try:
         return route(z, n, a, tol)
     except ToleranceNotMet as exc:

@@ -11,8 +11,8 @@ class EvalResult:
 
     ``err_estimate`` is absolute.  Routes target the mixed criterion
     err <= tol * max(1, |value|); a result that could not be certified is
-    either raised as ToleranceNotMet (carrying the best EvalResult) or
-    returned with a method tag ending in "(degraded)".
+    raised as ToleranceNotMet, which carries the best EvalResult.  The CLI
+    shows such a result with a method tag ending in "(degraded)".
     """
 
     value: complex

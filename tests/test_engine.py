@@ -3,7 +3,6 @@
 import cmath
 import math
 import random
-from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -32,7 +31,7 @@ from lerchphi.errors import (
 )
 from lerchphi.result import EvalResult
 from lerchphi.special_functions import polylog
-from oracles import phi_integer_a_explicit
+from oracles import lerch_reference, phi_integer_a_explicit
 
 mp.mp.dps = 30
 
@@ -54,11 +53,11 @@ class TestClassify:
     @pytest.mark.parametrize("z, region", [
         (0.5j, Region.INSIDE_DISC),
         ((1 - 2e-6) * E, Region.INSIDE_DISC),
-        ((1 - 5e-7) * E, Region.BAND_INSIDE),
-        ((1 - 5e-13) * E, Region.BAND_INSIDE),
-        (E, Region.BAND_OUTSIDE),
-        ((1 + 1e-8) * E, Region.BAND_OUTSIDE),
-        ((1 + 5e-7) * E, Region.BAND_OUTSIDE),
+        ((1 - 5e-7) * E, Region.BAND),
+        ((1 - 5e-13) * E, Region.BAND),
+        (E, Region.BAND),
+        ((1 + 1e-8) * E, Region.BAND),
+        ((1 + 5e-7) * E, Region.BAND),
         ((1 + 2e-6) * E, Region.EXTERIOR),
         (2j, Region.EXTERIOR),
     ])
@@ -73,7 +72,7 @@ class TestClassify:
     def test_exterior_negative_real(self):
         assert classify(-2.0) is Region.EXTERIOR_NEGATIVE_REAL
         assert classify(-3.0) is Region.EXTERIOR_NEGATIVE_REAL
-        assert classify(-(1 + 5e-7)) is Region.BAND_OUTSIDE
+        assert classify(-(1 + 5e-7)) is Region.BAND
 
     def test_exterior_cut(self):
         assert classify(3.0) is Region.CUT
@@ -97,10 +96,7 @@ class TestClassify:
                 res = phi(z, n, a, tol)
             except ToleranceNotMet as exc:
                 res = exc.result
-            row = _ROUTE_TABLE[classify(z)]
-            name = res.method.removesuffix(" (degraded)")
-            assert name in row.routes, (z, n, a)
-            assert row.degraded or name == res.method, (z, n, a)
+            assert res.method in _ROUTE_TABLE[classify(z)].routes, (z, n, a)
 
 
 class TestPhiSeries:
@@ -154,11 +150,24 @@ class TestPhiIntegral:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            phi_integral(0.5, 1, -0.2)  # Re a <= 0
-        with pytest.raises(DomainError):
             phi_integral(2.0, 1, 0.5)  # z on [1, oo)
         with pytest.raises(DomainError):
             phi_integral(1.0, 2, 0.5)
+        with pytest.raises(PoleAtNonPositiveInteger):
+            phi_integral(0.5, 1, -2.0)
+
+    @pytest.mark.parametrize("z, n, a", [
+        (0.5, 1, -0.2),
+        (0.9j, 3, -2.6 + 0.4j),
+        (-3.0, 2, -0.4),
+    ])
+    def test_shift_admits_re_a_at_most_zero(self, z, n, a):
+        # head terms move a to Re a >= 1; each one counts as a term
+        res = phi_integral(z, n, a, 1e-11)
+        assert res.err_estimate <= 1e-11 * max(1.0, abs(res.value))
+        ref = lerch_reference(z, n, a)
+        assert abs(res.value - ref) <= res.err_estimate
+        assert res.terms_or_nodes > math.ceil(1 - a.real)
 
 
 class TestPhiPV:
@@ -359,7 +368,9 @@ class TestDispatcher:
         assert phi(2j, 2, 0.25).method == "inverse"
         assert phi(-2.0, 2, 1.0).method == "integral"
         assert phi(2j, 2, 3).method == "integer-a"
-        assert phi(2j, 2, 3 + 5e-9j).method == "integer-a"
+        # integer-a's substitution slack, 6e-8, fails the tolerance, and
+        # the exterior row ends in the integral
+        assert phi(2j, 2, 3 + 5e-9j).method == "integral"
 
     def test_cross_method_agreement(self):
         v1 = phi(2j, 2, 0.25).value
@@ -389,12 +400,15 @@ class TestDispatcher:
         res = phi(1 - 5e-13, 2, 0.5)
         assert abs(res.value - mp_ref(1 - 5e-13, 2, 0.5)) <= res.err_estimate
 
-    def test_near_circle_degrades_honestly(self):
-        res = phi(cmath.exp(2j) * (1 + 1e-7), 2, 0.4)
-        assert res.method.endswith("(degraded)")
-        assert res.err_estimate > 1e-10
-        ref = mp_ref(cmath.exp(2j) * (1 + 1e-7), 2, 0.4)
-        assert abs(res.value - ref) <= res.err_estimate
+    def test_near_circle_certifies(self):
+        # the inverse route has no usable rate this close to the circle
+        z = cmath.exp(2j) * (1 + 1e-7)
+        with pytest.raises(ToleranceNotMet):
+            phi_inverse(z, 2, 0.4)
+        res = phi(z, 2, 0.4)
+        assert res.method == "integral"
+        assert res.err_estimate <= 1e-10 * max(1.0, abs(res.value))
+        assert abs(res.value - lerch_reference(z, 2, 0.4)) <= res.err_estimate
 
     @pytest.mark.parametrize("z, a, ref", [
         (-1.0, 0.5, math.pi / 2),
@@ -402,25 +416,32 @@ class TestDispatcher:
     ])
     def test_circle_at_order_one_is_a_stall(self, z, a, ref):
         # on |z| = 1 with n = 1 the inverse route's tail bound is infinite
-        # while its value is finite: a stall, which the band row degrades,
-        # not a value beyond the double range
+        # while its value is finite: a stall, not a value beyond the double
+        # range.  At z = -1 the band row's integral certifies pi/2; next to
+        # z = 1 it refuses, and phi raises the inverse route's stall
         with pytest.raises(ToleranceNotMet) as info:
             phi_inverse(z, 1, a)
-        assert info.value.result.err_estimate == math.inf
-        res = phi(z, 1, a)
-        assert res.method == "inverse (degraded)"
-        assert cmath.isfinite(res.value) and res.err_estimate == math.inf
+        stall = info.value.result
+        assert cmath.isfinite(stall.value) and stall.err_estimate == math.inf
         if ref is not None:
-            assert abs(res.value - ref) < 1e-4
+            res = phi(z, 1, a)
+            assert res.method == "integral"
+            assert abs(res.value - ref) <= res.err_estimate <= 1e-10
+        else:
+            with pytest.raises(DomainError, match="pole log z"):
+                phi_integral(z, 1, a)
+            with pytest.raises(ToleranceNotMet) as info:
+                phi(z, 1, a)
+            assert info.value.result == stall
 
     def test_pole_guard(self):
         with pytest.raises(PoleAtNonPositiveInteger):
             phi(0.5, 2, -2.0 + 1e-9j)
 
     def test_negative_real_z_nonpositive_shift_real_part(self):
-        # not covered by the integral route; falls through to the expansion
+        # the integral route shifts a to Re a >= 1 with one head term
         res = phi(-3.0, 2, -0.4)
-        assert res.method == "inverse"
+        assert res.method == "integral"
         ref = mp_ref(-3.0, 2, -0.4)
         assert abs(res.value - ref) <= 1e-9 * max(1.0, abs(ref))
 
@@ -476,32 +497,34 @@ def dispatcher_grid(seed=0):
     for n in (2, 3):  # z = 1, and within 1e-12 of it
         for z in (1.0 + 0j, 1 - 5e-13, 1 + 1e-13j):
             points.append((z, n, complex(rng.uniform(0.2, 2.0)), tol))
+    # the band next to z = 1, where the integral refuses and no route
+    # certifies order 1 on the circle
+    for z in (1 + 1e-8j, cmath.exp(-0.05j)):
+        points.append((z, 1, shift(), tol))
     return points
 
 
 def test_dispatcher_matches_the_route_its_tag_names():
     """phi returns, field for field, what ROUTES[name] returns for the route
-    its method tag names; a degraded result is the one the route's
-    ToleranceNotMet carries, tagged; a raising phi carries the route's."""
+    its method tag names, certified; a raising phi carries the result of
+    the route's ToleranceNotMet."""
     seen = set()
     for z, n, a, tol in dispatcher_grid():
         try:
             res, raised = phi(z, n, a, tol), False
         except ToleranceNotMet as exc:
             res, raised = exc.result, True
-        name = res.method.removesuffix(" (degraded)")
-        seen.add("raised" if raised else res.method)
-        if raised or name != res.method:
+        seen.add(("raised " if raised else "") + res.method)
+        if raised:
             with pytest.raises(ToleranceNotMet) as info:
-                ROUTES[name](z, n, a, tol)
+                ROUTES[res.method](z, n, a, tol)
             expected = info.value.result
-            if not raised:
-                expected = replace(expected, method=res.method)
         else:
-            expected = ROUTES[name](z, n, a, tol)
+            expected = ROUTES[res.method](z, n, a, tol)
+            assert res.err_estimate <= tol * max(1.0, abs(res.value))
         assert res == expected, (z, n, a)
-    assert {"series", "integral", "inverse", "integer-a", "series (degraded)",
-            "inverse (degraded)", "raised"} <= seen
+    assert {"series", "integral", "inverse", "integer-a",
+            "raised inverse"} <= seen
 
 
 class TestRouteContract:

@@ -12,7 +12,12 @@ import math
 import pytest
 
 from lerchphi import cli, engine
-from lerchphi.errors import BeyondDoubleRange, DomainError, LerchError
+from lerchphi.errors import (
+    BeyondDoubleRange,
+    DomainError,
+    LerchError,
+    ToleranceNotMet,
+)
 from oracles import shifted_integral as reference
 
 TOL = 1e-10
@@ -38,22 +43,37 @@ def test_phi_at_large_order(w, n, b):
     _assert_close(res.value, reference(w, n, b), res.err_estimate)
 
 
-@pytest.mark.parametrize("n", (108, 120, 150))
+@pytest.mark.parametrize("n", (108, 120, 150, 151, 160, 171))
 def test_integral_on_the_negative_real_axis_at_large_order(n):
     # t^(n-1) alone overflows at the first nodes from n = 108 on, where
-    # t^(n-1) e^(-a t) does not
+    # t^(n-1) e^(-b t) does not; the shift to b = a + 1 keeps the sum,
+    # (n-1)! Phi(z, n, b), within the double range up to n = 171
     res = engine.phi(-3.0 + 0j, n, 0.5, TOL)
     assert res.method == "integral"
     _assert_close(res.value, reference(-3.0 + 0j, n, 0.5), res.err_estimate)
 
 
+def _stalling(route):
+    """route, but raising ToleranceNotMet with the result it returns."""
+    def stall(z, n, a, tol):
+        raise ToleranceNotMet("stalled", route(z, n, a, tol))
+    return stall
+
+
 @pytest.mark.parametrize("n", (151, 160, 171))
-def test_a_stall_passes_the_point_on(n):
-    # the integral's sum, (n-1)! Phi, overflows from n = 151 on and the
-    # route stalls; the row passes the point on to the inverse route
+def test_a_stall_passes_the_point_on(n, monkeypatch):
+    # a route that stalls passes the point on to the next of its row; if
+    # none certifies, the first stall is raised
+    monkeypatch.setattr(engine, "phi_integral",
+                        _stalling(engine.phi_integral))
     res = engine.phi(-3.0 + 0j, n, 0.5, TOL)
     assert res.method == "inverse"
     _assert_close(res.value, reference(-3.0 + 0j, n, 0.5), res.err_estimate)
+
+    monkeypatch.setattr(engine, "phi_inverse", _stalling(engine.phi_inverse))
+    with pytest.raises(ToleranceNotMet) as info:
+        engine.phi(-3.0 + 0j, n, 0.5, TOL)
+    assert info.value.result.method == "integral"
 
 
 @pytest.mark.parametrize("n", (120, 200, 700))
