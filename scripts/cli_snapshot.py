@@ -134,6 +134,16 @@ def commands():
           "--a=-1.6,0.3"]),
         ("eval-band-next-to-one",
          ["eval", "--z", "1,1e-8", "--n", "1", "--a", "1.3,0.2"]),
+        # next to an integer shift the inverse expansion's trig side and
+        # sum cancel: its whole estimate fails tol, and the integral
+        # certifies; next to the cut the integral refuses, and the inverse
+        # route's stall shows as "(degraded)"
+        ("eval-near-integer-cancellation",
+         ["eval", "--z=-6.131574141793447,0.8740346975162875", "--n", "8",
+          "--a", "0.9833739082725641,0.006348207666513117"]),
+        ("eval-near-integer-next-to-cut",
+         ["eval", "--z", "1.5179296702451195,0.008648785460432244",
+          "--n", "6", "--a=1.925577893870142,-0.09858362274525723"]),
         ("sweep-empty", ["sweep", "--abs-z", "0.2:0.8:0", "--arg-z", "0:1:2",
                          "--a-re", "0.5:0.5:1", "--a-im", "0:0:1", "--n", "2",
                          "--out", "-"]),

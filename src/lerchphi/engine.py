@@ -34,7 +34,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .quadrature import RayIntegrand, integrate_ray, pv_integrate_ray
-from .result import EvalResult
+from .result import EvalResult, certify
 from .special_functions import (
     _cot_pi_laurent,
     _hurwitz_zeta_sum,
@@ -215,18 +215,12 @@ def phi_series(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult
         value, err, terms = _hurwitz_zeta_sum(n, a)
         # pick up the (tiny) difference between z and 1 exactly on the band
         err += abs(z - 1.0) * 40.0
-        return EvalResult(value, err, "series", terms)
+        return certify(value, err, "series", terms, tol)
 
     min_m = int(2 * abs(a)) + 4
     cap = max(10_000 if on_circle else 300_000, min_m + 8)
     value, bound, m = _power_sum(z, a, 1, n, 0, min_m, cap, tol, tol)
-    result = EvalResult(value, bound, "series", m)
-    if bound > tol * max(1.0, abs(value)):
-        raise ToleranceNotMet(
-            f"series tail bound {bound:.3g} above tolerance after {m} terms",
-            result,
-        )
-    return result
+    return certify(value, bound, "series", m, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +279,7 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
             zk, size = complex(math.inf), math.inf
         value = head + zk * value
         err = abs(zk) * err + (n + 3) * 2.0**-53 * size
-    result = EvalResult(value, err, "integral", res.terms_or_nodes + k)
-    if stall is not None:
-        raise ToleranceNotMet(f"integral route: {stall}", result) from stall
-    # no abs() of a value that is not finite (see phi_inverse)
-    if not (cmath.isfinite(value) and err <= tol * max(1.0, abs(value))):
-        raise ToleranceNotMet(
-            f"integral route error {err:.3g} above tolerance", result)
-    return result
+    return certify(value, err, "integral", res.terms_or_nodes + k, tol, stall)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +376,9 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
         )
     err = pv.err_estimate / g + 5e-16 * (n + 1) * abs(trig)
     result = EvalResult(value, err, "pv", pv.terms_or_nodes)
+    # The one route that does not end in certify: its quadrature's target
+    # is scaled by the principal-value integral alone, not by |value|, so
+    # its whole estimate can exceed tol * max(1, |value|); only a stall raises.
     if stall is not None:
         raise ToleranceNotMet(f"principal-value route: {stall}", result) from stall
     return result
@@ -416,8 +406,16 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
         )
     require_off_nonpositive_poles(b)
 
-    trig = -math.pi * _cpow(w, -b) * _cot_term(
-        n, log_w, cot_pi_taylor(n - 1, -b), extra0=-sgn * 1j)
+    cot = _cot_term(n, log_w, cot_pi_taylor(n - 1, -b), extra0=-sgn * 1j)
+    try:
+        trig = -math.pi * _cpow(w, -b) * cot
+    except OverflowError:
+        # w^-b alone is beyond the double range, the product not always: at
+        # large |Im b| the cot side is as small as w^-b is large
+        try:
+            trig = cmath.exp(cmath.log(-math.pi * cot) - b * log_w) if cot else 0j
+        except OverflowError:
+            trig = complex(math.inf)  # beyond the double range: raised below
 
     winv = 1.0 / w
     abs_b = abs(b)
@@ -429,25 +427,13 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
                                 0.5 * tol, 0.0)
     m = j - 1
     value = trig - tail
-    # no abs() of a value that is not finite: on a NaN part it can raise
-    # OverflowError when an earlier math call left errno at ERANGE
-    finite = cmath.isfinite(trig) and cmath.isfinite(value)
-    err = bound + 5e-16 * (n + 1) * abs(trig) if finite else math.nan
-    # on the circle with n = 1 the tail bound is infinite for a finite
-    # value: a stall, not a value beyond the double range
-    if not finite:
+    if not (cmath.isfinite(trig) and cmath.isfinite(value)):
         raise BeyondDoubleRange(
-            f"Phi({w}, {n}, {b}) or its error bound is beyond the double "
-            f"range (inverse-argument expansion: value {value}, bound {err})"
-        )
-    result = EvalResult(value, err, "inverse", m)
-    if bound > tol * max(1.0, abs(value)):
-        raise ToleranceNotMet(
-            f"inverse-expansion tail bound {bound:.3g} above tolerance after "
-            f"{m} terms",
-            result,
-        )
-    return result
+            f"Phi({w}, {n}, {b}) is beyond the double range "
+            f"(inverse-argument expansion: value {value})")
+    # on the circle with n = 1 the tail bound is infinite: a stall
+    err = bound + 5e-16 * (n + 1) * abs(trig)
+    return certify(value, err, "inverse", m, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +477,7 @@ def phi_integer_a(w: complex, n: int, a: complex, tol: float = 1e-10) -> EvalRes
     terms = li_terms + max(0, N - 1)
     if a != N:
         err += abs(a - N) * (n + 1) * (1.0 + abs(value)) * 4.0
-    if err > tol * max(1.0, abs(value)):
-        raise ToleranceNotMet(
-            f"integer-shift route error {err:.3g} above tolerance",
-            EvalResult(value, err, "integer-a", terms),
-        )
-    return EvalResult(value, err, "integer-a", terms)
+    return certify(value, err, "integer-a", terms, tol)
 
 
 # ---------------------------------------------------------------------------

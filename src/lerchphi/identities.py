@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .engine import phi, symmetry_transform
+from .engine import degrade, phi, symmetry_transform
 from .errors import DomainError
 from .special_functions import cot_pi_derivative, hurwitz_zeta, polygamma
 
@@ -34,7 +34,8 @@ def _inner_tol(tol: float) -> float:
 
 
 def _phi_val(z, n, a, tol):
-    return phi(z, n, a, tol).value
+    # a stall's carried value: the record then fails by its residual
+    return degrade(phi, z, n, a, tol).value
 
 
 def _richardson(fn, x, h):
@@ -45,10 +46,11 @@ def _richardson(fn, x, h):
 
 def _phi_within(z, n, a, inner, abs_budget):
     """Evaluate Phi, retrying with a proportionally tighter tolerance when the
-    reported error exceeds the absolute budget."""
-    res = phi(z, n, a, inner)
-    if res.err_estimate > abs_budget > 0:
-        res = phi(z, n, a, inner * abs_budget / res.err_estimate)
+    reported error exceeds the absolute budget; a stall gives its carried
+    value, and an infinite estimate, which no tolerance meets, stands."""
+    res = degrade(phi, z, n, a, inner)
+    if math.inf > res.err_estimate > abs_budget > 0:
+        res = degrade(phi, z, n, a, inner * abs_budget / res.err_estimate)
     return res.value
 
 

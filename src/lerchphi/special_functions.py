@@ -21,9 +21,8 @@ from .errors import (
     DomainError,
     PoleAtInteger,
     PoleAtNonPositiveInteger,
-    ToleranceNotMet,
 )
-from .result import EvalResult
+from .result import certify
 
 __all__ = [
     "bernoulli",
@@ -300,12 +299,7 @@ def polylog(n: int, x: complex, tol: float = 1e-12) -> complex:
     if n >= 2 and abs(x - 1.0) <= 1e-14:
         return complex(hurwitz_zeta(n, 1.0))
     value, err, terms = _polylog_sum(n, x, tol)
-    if err > tol * max(1.0, abs(value)):
-        raise ToleranceNotMet(
-            f"polylog({n}, {x}) tail bound {err:.3g} above tolerance",
-            EvalResult(value, err, "polylog", terms),
-        )
-    return value
+    return certify(value, err, "polylog", terms, tol).value
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import pytest
 
+from lerchphi import identities
 from lerchphi.engine import phi, symmetry_transform
-from lerchphi.errors import DomainError
+from lerchphi.errors import DomainError, ToleranceNotMet
 from lerchphi.identities import (
     residual_hurwitz_reflection,
     residual_pde,
@@ -109,3 +111,15 @@ class TestPolygammaReflection:
     )
     def test_examples(self, m, a):
         assert residual_polygamma_reflection(m, a) <= 1e-9
+
+
+def test_a_stall_gives_its_carried_value(monkeypatch):
+    # phi stalls with its own result: the residuals use the carried value,
+    # so a record fails by its residual and no ToleranceNotMet escapes
+    def stalling_phi(z, n, a, tol):
+        res = phi(z, n, a, 1e-10)
+        raise ToleranceNotMet("stalled", replace(res, err_estimate=math.inf))
+
+    monkeypatch.setattr(identities, "phi", stalling_phi)
+    assert residual_symmetry(0.5j, 1, 0.3) <= 1e-9
+    assert residual_shift(2j, 3, 0.3) <= 1e-9
