@@ -162,22 +162,17 @@ def _quadrature_scale(n: int, route: str) -> float:
     return float(factorial(n - 1))
 
 
-def _cot_term(n: int, L: complex, coeffs, low: int = 0,
-              extra0: complex = 0j) -> complex:
-    """The eps^(n-1) coefficient of e^(eps L) (sum_j coeffs[j] eps^(j+low)
-    + extra0): sum_k L^k/k! coeffs[n-1-k-low], with extra0 joining the
-    eps^0 coefficient.  With coeffs = cot_pi_taylor(n - 1, a) it is
-    e^(-a L)/(n-1)! d^(n-1)/da^(n-1) [e^(a L) (cot(pi a) + extra0)], the
+def _cot_term(n: int, L: complex, coeffs, low: int = 0) -> complex:
+    """The eps^(n-1) coefficient of e^(eps L) sum_j coeffs[j] eps^(j+low):
+    sum_k L^k/k! coeffs[n-1-k-low].  With coeffs = cot_pi_taylor(n - 1, a, c)
+    it is e^(-a L)/(n-1)! d^(n-1)/da^(n-1) [e^(a L) (cot(pi a) + c)], the
     trigonometric side of the symmetry relation without pi e^(a L); with
     the Laurent coefficients of cot(pi eps) (low = -1) it is the finite
     part of the integer-shift limit."""
     total = 0j
     power = 1.0 + 0j  # L^k / k!
     for k in range(n - low):
-        coef = coeffs[n - 1 - k - low]
-        if k == n - 1:
-            coef += extra0
-        total += power * coef
+        total += power * coeffs[n - 1 - k - low]
         power = power * L / (k + 1)
     return total
 
@@ -394,7 +389,7 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
     - sum_{m>=1} w^(-m) / (b - m)^n,
 
     whose first term is -pi w^-b _cot_term(n, log w, cot_pi_taylor(n - 1,
-    -b), extra0=-sgn(phi) i).
+    -b, -sgn(phi) i)).
     """
     w, b = _validate(w, n, b, tol)
     log_w, sgn = _exterior_log(w, "inverse-argument expansion")
@@ -406,16 +401,14 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
         )
     require_off_nonpositive_poles(b)
 
-    cot = _cot_term(n, log_w, cot_pi_taylor(n - 1, -b), extra0=-sgn * 1j)
+    cot = _cot_term(n, log_w, cot_pi_taylor(n - 1, -b, -sgn * 1j))
+    # -pi w^-b cot as one exponential: at large |Im b| w^-b alone may be
+    # beyond the double range where the product, its cot side small, is not
+    log_cot, expo = (cmath.log(-math.pi * cot) if cot else 0j), b * log_w
     try:
-        trig = -math.pi * _cpow(w, -b) * cot
+        trig = cmath.exp(log_cot - expo) if cot else 0j
     except OverflowError:
-        # w^-b alone is beyond the double range, the product not always: at
-        # large |Im b| the cot side is as small as w^-b is large
-        try:
-            trig = cmath.exp(cmath.log(-math.pi * cot) - b * log_w) if cot else 0j
-        except OverflowError:
-            trig = complex(math.inf)  # beyond the double range: raised below
+        trig = complex(math.inf)  # beyond the double range: raised below
 
     winv = 1.0 / w
     abs_b = abs(b)
@@ -431,8 +424,9 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
         raise BeyondDoubleRange(
             f"Phi({w}, {n}, {b}) is beyond the double range "
             f"(inverse-argument expansion: value {value})")
-    # on the circle with n = 1 the tail bound is infinite: a stall
-    err = bound + 5e-16 * (n + 1) * abs(trig)
+    # the exponent's rounding is relative to the sizes of its two parts; on
+    # the circle with n = 1 the tail bound is infinite: a stall
+    err = bound + 5e-16 * (n + 1 + abs(log_cot) + abs(expo)) * abs(trig)
     return certify(value, err, "inverse", m, tol)
 
 
@@ -445,8 +439,9 @@ def _integer_shift_limit(n: int, log_w: complex, extra0: complex = 0j) -> comple
     w^eps (cot(pi eps) + extra0) times -pi, i.e. -pi sum_{k=0..n} L^k/k!
     c_(n-1-k) - pi L^(n-1)/(n-1)! extra0 with L = log w and c_j the Laurent
     coefficients of cot(pi eps).  The pole term cancels exactly."""
-    return -math.pi * _cot_term(n, log_w, _cot_pi_laurent(n - 1), low=-1,
-                                extra0=extra0)
+    coeffs = _cot_pi_laurent(n - 1)[:n + 1]  # a copy: the list is shared
+    coeffs[1] += extra0
+    return -math.pi * _cot_term(n, log_w, coeffs, low=-1)
 
 
 def phi_integer_a(w: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
@@ -504,7 +499,7 @@ def symmetry_transform(z: complex, n: int, a: complex):
     t0 = -cmath.log(z)
     sgn = 1 if cmath.phase(t0) > 0 else -1
     trig = (math.pi * (-1.0) ** (n - 1) * _cpow(z, -a)
-            * _cot_term(n, t0, cot_pi_taylor(n - 1, a), extra0=-sgn * 1j))
+            * _cot_term(n, t0, cot_pi_taylor(n - 1, a, -sgn * 1j)))
     return LerchQuery(1.0 / z, n, 1.0 - a), trig
 
 

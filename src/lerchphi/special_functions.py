@@ -230,11 +230,14 @@ def cot_pi(a: complex) -> complex:
     return _cot_pi_seed(a)[0]
 
 
-def cot_pi_taylor(m: int, a: complex) -> list[complex]:
-    """[e_0, ..., e_m] with cot(pi (a + eps)) = sum_j e_j eps^j.
+def cot_pi_taylor(m: int, a: complex, shift: complex = 0j) -> list[complex]:
+    """[e_0, ..., e_m] with cot(pi (a + eps)) + shift = sum_j e_j eps^j.
 
     e_0 and e_1 come from _cot_pi_seed; the rest from cot' = -pi (1 + cot^2),
-    (j + 1) e_(j+1) = -pi sum_{i=0..j} e_i e_(j-i) for j >= 1, in floats."""
+    (j + 1) e_(j+1) = -pi sum_{i=0..j} e_i e_(j-i) for j >= 1, in floats.
+    Im cot(pi a) has the sign of -Im a, so a shift of +-i with the sign of
+    Im a cancels cot at large |Im a|; there e_0 is formed as
+    (1 + cot^2) / (cot - shift) = -e_1 / (pi (cot - shift)), which does not."""
     if m < 0:
         raise ValueError("derivative order must be >= 0")
     a = complex(a)
@@ -248,6 +251,9 @@ def cot_pi_taylor(m: int, a: complex) -> list[complex]:
         for i in range((j + 1) // 2):
             acc += e[i] * e[j - i]
         e.append(-math.pi * (2.0 * acc + half) / (j + 1))
+    if shift:
+        e[0] = (-e[1] / (math.pi * (e[0] - shift))
+                if a.imag * shift.imag > 0 else e[0] + shift)
     return e[:m + 1]
 
 

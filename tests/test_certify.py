@@ -4,15 +4,16 @@ Every route but pv ends in certify: a result is returned only when no
 quadrature stalled, its value is finite and its whole error estimate is at
 most tol * max(1, |value|).  The inverse expansion's estimate is its tail
 bound plus the rounding of its trigonometric side, and next to an integer
-shift the two cancel; the points below are where the tail bound alone met
-tol and the whole estimate did not.  The reference is oracles.lerch_reference.
+shift the two cancel; the first points below are where the tail bound alone
+met tol and the whole estimate did not.  The last ones pin how the
+trigonometric side is formed, and the series route's check at z = 1.  The
+reference is oracles.lerch_reference.
 """
 
 import cmath
 import math
 import random
 
-import mpmath as mp
 import pytest
 
 from lerchphi.engine import phi, phi_integral, phi_inverse
@@ -108,7 +109,7 @@ def test_whole_estimate_moves_the_point_to_the_integral(z, n, a):
 
 def test_no_route_certifies_next_to_the_cut():
     # arg z = 0.0057: the integral refuses (its pole is within 0.1 of its
-    # path), and the inverse expansion's whole estimate is 4.7 tol
+    # path), and the inverse expansion's whole estimate is 13 tol
     z, n, a = (1.5179296702451195 + 0.008648785460432244j, 6,
                1.925577893870142 - 0.09858362274525723j)
     with pytest.raises(DomainError, match="pole log z"):
@@ -129,13 +130,37 @@ def test_inverse_power_beyond_the_double_range_raises(z):
         phi(z, 2, -299.6, TOL)
 
 
-@pytest.mark.parametrize("b", [0.5 + 300j, 0.5 - 300j])
-def test_inverse_power_overflow_with_a_small_cot_side(b):
-    # |w^-b| is e^848 at b = 0.5 + 300i, and the cot side below e^-1885, so
-    # the trig term is not beyond the double range; the conjugate shift is
-    # the underflowing case
-    w = 3 * cmath.exp(0.9j * math.pi)
-    res = phi_inverse(w, 2, b, TOL)
-    with mp.workdps(30):
-        ref = complex(mp.lerchphi(w, 2, b))
-    assert abs(res.value - ref) <= TOL * max(1.0, abs(ref))
+@pytest.mark.parametrize("n", [1, 2])
+def test_inverse_power_beyond_the_double_range_with_a_small_cot_side(n):
+    # |w^-b| is e^713.7, beyond the double range, and the cot side about
+    # e^-29, so the trig term, and Phi, are not; the exponent's rounding
+    # (5e-16 |b log w| relative) joins the estimate
+    w, b = 16 * cmath.exp(0.9j * math.pi), -252.3 + 5j
+    with pytest.raises(OverflowError):
+        cmath.exp(-b * cmath.log(w))
+    res = phi_inverse(w, n, b, TOL)
+    assert abs(res.value - lerch_reference(w, n, b, dps=50)) <= res.err_estimate
+
+
+@pytest.mark.parametrize("z,n", [
+    (-3 + 0.01j, 2), (-3 + 0.01j, 4), (3 * cmath.exp(0.9j * math.pi), 1)])
+def test_inverse_cot_side_keeps_its_digits(z, n):
+    # at Im b = 6, cot(-pi b) - sgn i is about 4e-16: formed by subtraction
+    # it kept no digit, and the returned error was up to 4.4e-8 with an
+    # estimate of 1.6e-11
+    b = 0.5 + 6j
+    res = phi(z, n, b, TOL)
+    assert res.method == "inverse"
+    assert abs(res.value - lerch_reference(z, n, b)) <= res.err_estimate
+
+
+def test_hurwitz_branch_checks_its_estimate():
+    # at z = 1 + 5e-13 the series route's Hurwitz branch adds 40 |z - 1| to
+    # its estimate: 2e-11 meets tol 1e-10 but not 1e-12
+    z, value = 1 + 5e-13, math.pi ** 2 / 2  # Phi(1, 2, 1/2) = zeta(2, 1/2)
+    res = phi(z, 2, 0.5, TOL)
+    assert res.method == "series"
+    assert abs(res.value - value) <= res.err_estimate <= TOL * value
+    with pytest.raises(ToleranceNotMet) as info:
+        phi(z, 2, 0.5, 1e-12)
+    assert info.value.result == res

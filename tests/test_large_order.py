@@ -130,8 +130,8 @@ def test_inverse_checks_finiteness_before_abs(monkeypatch):
             raise OverflowError("absolute value too large")
         return builtins.abs(x)
 
-    monkeypatch.setattr(engine, "cot_pi_taylor",
-                        lambda m, a: [complex(math.nan, math.nan)] * (m + 1))
+    monkeypatch.setattr(engine, "cot_pi_taylor", lambda m, a, shift:
+                        [complex(math.nan, math.nan)] * (m + 1))
     monkeypatch.setattr(engine, "abs", leaky_abs, raising=False)
     with pytest.raises(BeyondDoubleRange, match="double range"):
         engine.phi_inverse(3j, 4, 0.3, TOL)

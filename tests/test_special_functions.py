@@ -170,6 +170,21 @@ def test_cot_taylor_at_high_order(a):
     assert _max_rel_err(cot_pi_taylor(31, a), ref) <= 1e-14
 
 
+@pytest.mark.parametrize("a,shift", [
+    (0.3 + 6j, 1j), (0.3 - 6j, -1j), (-2.7 + 100j, 1j),  # shift cancels cot
+    (0.3 + 6j, -1j), (0.3 + 0.05j, 1j),  # it does not
+])
+def test_cot_taylor_shift_keeps_the_digits_of_a_cancellation(a, shift):
+    # cot(pi a) is within e^(-2 pi |Im a|) of -i sgn(Im a): e_0 - shift
+    # formed in floats keeps none of them
+    with mpmath.workdps(40 + int(3 * abs(a.imag))):
+        e0 = mpmath.cot(mpmath.pi * mpmath.mpc(a)) + mpmath.mpc(shift)
+        ref = complex(e0)
+    got = cot_pi_taylor(3, a, shift)
+    assert abs(got[0] - ref) <= 1e-14 * abs(ref)
+    assert got[1:] == cot_pi_taylor(3, a)[1:]
+
+
 class TestCotPiLaurent:
     # c[j + 1] = c_j, the coefficient of eps^j in cot(pi eps)
     def test_pole_coefficient(self):
