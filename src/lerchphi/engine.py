@@ -197,7 +197,8 @@ def classify(z: complex) -> Region:
 # Route 1: defining series, |z| < 1 (or |z| = 1 with n >= 2)
 
 def phi_series(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
-    """Compensated summation of sum_m z^m / (a + m)^n with a certified tail."""
+    """Exactly rounded sum_m z^m / (a + m)^n, its estimate the certified
+    tail plus the rounding of the terms kept (_power_sum)."""
     z, a = _validate(z, n, a, tol)
     require_off_nonpositive_poles(a)
     r = abs(z)
@@ -212,9 +213,9 @@ def phi_series(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult
         err += abs(z - 1.0) * 40.0
         return certify(value, err, "series", terms, tol)
 
-    min_m = int(2 * abs(a)) + 4
-    cap = max(10_000 if on_circle else 300_000, min_m + 8)
-    value, bound, m = _power_sum(z, a, 1, n, 0, min_m, cap, tol, tol)
+    # the work cap grows with |a|, which a sum may need to pass
+    cap = max(10_000 if on_circle else 300_000, int(2 * abs(a)) + 12)
+    value, bound, m = _power_sum(z, a, 1, n, 0, cap, tol, tol)
     return certify(value, bound, "series", m, tol)
 
 
@@ -229,9 +230,9 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
     The integrand's poles are t = log z + 2 pi i j.  The nearest to the path
     [0, oo) is log z; where it lies within 0.1 of the path the route
     refuses, as the quadrature's error estimate can miss there.  The
-    estimate counts the head's rounding, (n + 3) 2^-53 sum_{m<k}
-    |z^m/(a+m)^n|, and the whole estimate is checked against tol; the head
-    terms count among terms_or_nodes."""
+    estimate counts the head's rounding as _power_sum gives it,
+    (n + 3) 2^-53 sum_{m<k} |z^m/(a+m)^n|, and the whole estimate is checked
+    against tol; the head terms count among terms_or_nodes."""
     z, a = _validate(z, n, a, tol)
     g = _quadrature_scale(n, "integral route")
     require_off_nonpositive_poles(a)
@@ -266,14 +267,13 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
         res, stall = exc.result, exc
     value, err = res.value / g, res.err_estimate / g
     if k:
-        head, _, _ = _power_sum(z, a, 1, n, 0, k, k, 0.0, 0.0)
+        head, rounding, _ = _power_sum(z, a, 1, n, 0, k, 0.0, 0.0)
         try:
             zk = z ** k
-            size = sum(abs(z) ** m * abs(a + m) ** -n for m in range(k))
         except OverflowError:  # a power beyond the double range: a stall
-            zk, size = complex(math.inf), math.inf
+            zk = complex(math.inf)
         value = head + zk * value
-        err = abs(zk) * err + (n + 3) * 2.0**-53 * size
+        err = abs(zk) * err + rounding
     return certify(value, err, "integral", res.terms_or_nodes + k, tol, stall)
 
 
@@ -416,8 +416,7 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
     # remainder bound, reported honestly (no useful convergence rate there)
     cap = max(10_000 if abs(winv) > 1.0 - 1e-5 else 300_000, int(abs_b) + 16)
     # absolute target: the trig term may cancel most of the sum
-    tail, bound, j = _power_sum(winv, b, -1, n, 1, int(abs_b) + 3, cap + 1,
-                                0.5 * tol, 0.0)
+    tail, bound, j = _power_sum(winv, b, -1, n, 1, cap + 1, 0.5 * tol, 0.0)
     m = j - 1
     value = trig - tail
     if not (cmath.isfinite(trig) and cmath.isfinite(value)):
@@ -463,7 +462,7 @@ def phi_integer_a(w: complex, n: int, a: complex, tol: float = 1e-10) -> EvalRes
     # so that no power of w overflows for large N
     shift = 0j
     if N > 1:
-        shift, _, _ = _power_sum(1.0 / w, float(N), -1, n, 1, N, N, 0.0, 0.0)
+        shift, _, _ = _power_sum(1.0 / w, float(N), -1, n, 1, N, 0.0, 0.0)
     inner = finite_part - (-1.0) ** n * li_val
     w_neg_n = w ** (-N)
     value = w_neg_n * inner - shift

@@ -4,8 +4,9 @@ Exact Bernoulli numbers, the Taylor coefficients of cot(pi (a + eps)) from
 one float recurrence and the Laurent coefficients of cot(pi eps) from
 zeta(2k) live next to the floating-point summations (polylogarithm,
 Hurwitz zeta, polygamma) so that the identity checks can pit independent
-computations against each other.  Every power sum, here
-and in the routes, runs through the one compensated kernel _power_sum.
+computations against each other.  Every power sum, here and in the routes,
+runs through the one kernel _power_sum, which returns the exactly rounded
+math.fsum of its terms.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from math import factorial
+from math import ceil, exp, factorial, floor, fsum, hypot, inf, log, log1p
+from operator import attrgetter
 
 from .errors import (
     BeyondDoubleRange,
@@ -50,6 +52,12 @@ _Q_EXPANSION_IM = 0.2
 
 _TWO_PI_I = 2j * math.pi
 
+# log of the smallest positive double: log |x| for x = 0
+_LOG_TINY = math.log(5e-324)
+
+_REAL = attrgetter("real")
+_IMAG = attrgetter("imag")
+
 
 def dist_to_nearest_integer(a: complex) -> float:
     """Distance from complex a to the nearest point of the integer lattice on R."""
@@ -68,73 +76,200 @@ def require_off_nonpositive_poles(a: complex) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Compensated power sums
+# Exactly rounded power sums
 
-def _power_sum(x: complex, c: complex, sign: int, n: int, k: int,
-               k_check: int, cap: int, t_abs: float, t_rel: float):
-    """Neumaier-compensated sum_{i=k}^{j-1} x^i / (c + sign*i)^n.
+def _first_below(c0: float, log_rho: float, p: int, h: float,
+                 top: float) -> float:
+    """A point in [h, top] at or below the root of the convex, decreasing
+    F(w) = c0 + w log_rho - p log w, or top where F(top) > 0; the second
+    part's step count in _power_sum, where log_rho may be 0.
+
+    Newton's method: a tangent of a convex function lies below it, so a
+    step from anywhere lands at or below the root, and further steps climb
+    to it.  The first step starts from an upper bound of the root, where
+    the log or the linear term alone would reach 0; the iteration stops
+    once a step is under half an index."""
+    w = c0 / p
+    w = exp(w) if w < 700.0 else inf
+    if log_rho < 0.0:
+        linear = (c0 - p * log(h)) / -log_rho
+        if linear < w:
+            w = linear
+    if w > top:
+        w = top
+    while True:
+        step = (c0 + w * log_rho - p * log(w)) / (p / w - log_rho)
+        w += step
+        if w <= h:
+            return h
+        if w >= top:
+            return top
+        if -0.5 < step < 0.5:
+            return w
+
+
+def _power_sum(x: complex, c: complex, sign: int, n: int, k: int, cap: int,
+               t_abs: float, t_rel: float):
+    """sum_{i=k}^{j-1} x^i / (c + sign*i)^n, exactly rounded: the math.fsum of
+    the terms' real parts and of their imaginary parts.
 
     The one summation kernel of the library: the series, the inverse-argument
-    tail, the polylogarithm and the fixed-count heads of the Hurwitz zeta and
-    integer-shift sums.  From next index j = k_check on, the remainder is
-    bounded by
+    tail, the polylogarithm and the fixed-count heads of the Hurwitz zeta,
+    integer-shift and shifted-integral sums.  With rho = |x| (1 on and
+    beyond the circle), u = j + sign Re c and D = min_{i>=j} |c + sign i|,
+    the remainder from j on is at most
 
-        rho^j * min(1 / ((1 - rho) g^n), (g - 1)^(1-n) / (n - 1)),
+        bound = rho^j min(1 / ((1 - rho) D^n), (u - 1)^(1-n) / (n - 1)),
 
-    with rho = |x|, g = j - |c| (since |c + sign*i| >= i - |c|); the first
-    part needs rho < 1, the second n >= 2, and the bound is inf where
-    neither applies (or g <= 1).  Summation stops at the first such j whose
-    bound is <= t_abs or <= t_rel * |S|, or at j = cap.  Returns
-    (S, bound, j).
-    """
-    rho = abs(x)
-    abs_c = abs(c)
-    if rho < 1.0:
-        geo = 1.0 / (1.0 - rho)
-        rho_j = rho ** k
-    else:
-        rho, geo, rho_j = 1.0, 0.0, 1.0  # geo = 0: no geometric part
-    xp = x ** k
-    kf = float(sign * k)
-    sr = si = cr = ci = 0.0
-    hypot = math.hypot
+    inf where neither part holds.  The first part needs rho < 1; D is
+    |c + sign j| once u >= 0, from where |c + sign i| grows with i, and
+    (dist(u, Z)^2 + Im c^2)^(1/2) before.  The second, an integral
+    comparison with |c + sign i| >= i + sign Re c, needs n >= 2 and holds
+    once u > 1.  It can be the smaller part only while
+    D < (n - 1) / (1 - rho), and is taken on the circle and where that
+    limit is at least 32.  The estimate at j adds the rounding term
+    (n + 3) 2^-53 sum_{i<j} |t_i|.  The sum stops at the first j >= k where
+    the bound meets the target max(t_abs, t_rel |S_j|), S_j the running sum
+    of the terms below j, and either the whole estimate does or the bound is
+    at most the rounding term, as more terms cannot halve the estimate; or
+    at j = cap.
+
+    The bound is checked only where it can first meet the target.  From a
+    check at j that it fails, the next one is at the first index whose
+    bound can be <= reach = max(t_abs, t_rel (|S_j| + bound)), the largest
+    target the partial sums can reach.  Each part of the bound is bounded
+    below by a function of the step count m whose log is convex,
+    rho^(j+m) / ((1 - rho) (D + m)^n) and the second part itself, and no
+    index before the first root of the two can meet reach (_first_below).
+    The terms between the checks are formed with no bound, branch or
+    compensation work.
+
+    Returns (S, estimate, j).  With no target, t_abs = t_rel = 0, S is the
+    finite sum up to cap and the estimate its rounding term alone."""
+    terms: list = []
+    keep = terms.append
+    j, s, power, bound, rounding = k, 0j, x ** k, 0.0, 0.0
+    stop = cap
+    if t_abs or t_rel:
+        stop = k
+        rho = abs(x)
+        shift, c_im = sign * c.real, c.imag
+        log_rho = (log(rho) if 0.0 < rho < 1.0 else _LOG_TINY if rho < 1.0
+                   else 0.0)
+        log_geo = -log1p(-rho) if rho < 1.0 else None
+        # from D >= (n - 1) / (1 - rho) on, the second part is at least the
+        # first and stays above the first's lower bound, as D >= u > u - 1;
+        # D never falls.  Where that is below 32 the second part could only
+        # end a sum of a few dozen terms a term or two early, which costs
+        # more in checks than it saves.
+        second_from = (0.0 if n == 1 else inf if log_geo is None
+                       else (n - 1) / (1.0 - rho))
+        if second_from < 32.0:
+            second_from = 0.0
+        log_alg = -log(n - 1) if n > 1 else 0.0
+        h = 0.0
     while True:
+        if j < stop:
+            try:
+                for i in range(sign * j, sign * stop, sign):
+                    keep(power / (c + i) ** n)
+                    power *= x
+            except OverflowError:  # the terms from i on, one by one
+                for i in range(i, sign * stop, sign):
+                    keep(_term(power, c + i, n))
+                    power *= x
+            if t_rel:
+                s += sum(terms[j - k:])
+            j = stop
+        if not (t_abs or t_rel):  # a fixed count
+            rounding = (n + 3) * 2.0**-53 * _abs_sum(terms)
+            break
+        u = j + shift
+        log_b = inf
+        if log_geo is not None:
+            h = hypot(u if u >= 0.0 else u - round(u), c_im)
+            log_b = j * log_rho + log_geo - n * log(h)
+        if h >= second_from:
+            second_from = 0.0
+        elif u > 1.0 and (log_geo is None or (1.0 - rho) * h * (u + n - 2.0)
+                          < (n - 1) * (u - 1.0)):
+            # the second part can be below the first: by Bernoulli's
+            # inequality their ratio is >= (1 - rho) D (u + n - 2) /
+            # ((n - 1) (u - 1))
+            log_b = min(log_b,
+                        j * log_rho + log_alg - (n - 1) * log(u - 1.0))
+        bound = exp(log_b) if log_b < 709.0 else inf
         try:
-            t = xp / (c + kf) ** n
-        except OverflowError:
-            # not (c + k) ** -n: that is NaN for complex c and n <= 100
-            t = xp * (1.0 / (c + kf)) ** n
-        tr = t.real
-        ti = t.imag
-        u = sr + tr
-        if abs(sr) >= abs(tr):
-            cr += (sr - u) + tr
-        else:
-            cr += (tr - u) + sr
-        sr = u
-        u = si + ti
-        if abs(si) >= abs(ti):
-            ci += (si - u) + ti
-        else:
-            ci += (ti - u) + si
-        si = u
-        k += 1
-        kf += sign
-        xp *= x
-        rho_j *= rho
-        if k >= k_check:
-            g = k - abs_c
-            bound = math.inf
-            if g > 1.0:
-                # negative powers: they underflow where positive ones overflow
-                if geo:
-                    bound = rho_j * geo * g ** -n
-                if n >= 2:
-                    second = rho_j * (g - 1.0) ** (1 - n) / (n - 1)
-                    if second < bound:
-                        bound = second
-            if bound <= t_abs or bound <= t_rel * hypot(sr, si) or k >= cap:
-                return complex(sr + cr, si + ci), bound, k
+            s_abs = abs(s)
+        except OverflowError:  # |S| beyond the double range
+            s_abs = inf
+        goal = max(t_abs, t_rel * s_abs)
+        if bound <= goal or j >= cap:
+            rounding = (n + 3) * 2.0**-53 * _abs_sum(terms)
+            if bound + rounding <= goal or bound <= rounding or j >= cap:
+                break
+            stop = j + 1  # the rounding term, not the bound, is above goal
+            continue
+        if log_b == inf:  # on the circle, before the second part holds
+            stop = min(cap, max(j + 1, floor(2.0 - shift))) if n > 1 else cap
+            continue
+        # the first index whose bound can meet the largest target the
+        # partial sums can reach; the margin covers the logs' rounding
+        log_reach = log(max(goal, t_rel * (s_abs + bound))) + 1e-9
+        m = float(cap - j)
+        if log_geo is not None:
+            # Newton's method on the first part's lower bound, as in
+            # _first_below, from the root of its linear term alone
+            c0 = (j - h) * log_rho + log_geo - log_reach
+            top = h + m
+            w = (c0 - n * log(h)) / -log_rho
+            if w > top:
+                w = top
+            while True:
+                step = ((c0 + w * log_rho - n * log(w))
+                        / (n / w - log_rho))
+                w += step
+                if -0.5 < step < 0.5 or w <= h or w >= top:
+                    break
+            m = (w if w < top else top) - h
+            if m < 0.0:
+                m = 0.0
+        if h < second_from:
+            # the second part, from the first step where it holds, unless
+            # it stays above reach up to m
+            g = u - 1.0
+            start = 0 if g > 0.0 else floor(-g) + 1
+            c0 = (j - g) * log_rho + log_alg - log_reach
+            if start < m and c0 + (g + m) * log_rho - (n - 1) * log(
+                    g + m) <= 0.0:
+                m = _first_below(c0, log_rho, n - 1, g + start, g + m) - g
+        stop = min(cap, j + (ceil(m - 1e-6) if m > 1.0 else 1))
+    try:
+        value = complex(fsum(map(_REAL, terms)), fsum(map(_IMAG, terms)))
+    except (OverflowError, ValueError):  # a part beyond the double range
+        value = complex(inf, inf)
+    return value, bound + rounding, j
+
+
+def _abs_sum(terms: list) -> float:
+    """math.fsum of the terms' moduli; inf where one is beyond the double
+    range (abs raises, or a term formed from an infinity is NaN) or the sum
+    is."""
+    try:
+        total = fsum(map(abs, terms))
+    except (OverflowError, ValueError):
+        return inf
+    return total if total == total else inf
+
+
+def _term(power: complex, base: complex, n: int) -> complex:
+    """power / base^n, from the reciprocal where base^n is beyond the double
+    range: that underflows instead (not base ** -n, which is NaN for complex
+    base and n <= 100)."""
+    try:
+        return power / base ** n
+    except OverflowError:
+        return power * (1.0 / base) ** n
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +421,7 @@ def _polylog_sum(n: int, x: complex, tol: float):
     if n == 1:
         return -cmath.log(1.0 - x), 4e-16 * abs(cmath.log(1.0 - x)) + 1e-300, 1
     cap = 300_000 if abs(x) < 1.0 else 10_000
-    value, bound, j = _power_sum(x, 0.0, 1, n, 1, 2, cap + 1, tol, tol)
+    value, bound, j = _power_sum(x, 0.0, 1, n, 1, cap + 1, tol, tol)
     return value, bound, j - 1
 
 
@@ -322,7 +457,7 @@ def _hurwitz_zeta_sum(n: int, a: complex):
     a = complex(a)
     require_off_nonpositive_poles(a)
     m_terms = max(20, math.ceil(abs(a)) + 20)
-    head, _, _ = _power_sum(1.0, a, 1, n, 0, m_terms, m_terms, 0.0, 0.0)
+    head, _, _ = _power_sum(1.0, a, 1, n, 0, m_terms, 0.0, 0.0)
     x = a + m_terms
     xinv = 1.0 / x
     tail = x ** (1 - n) / (n - 1) + 0.5 * x ** (-n)

@@ -46,7 +46,9 @@ def shifted_integral(w: complex, n: int, b: complex, dps: int = 30) -> complex:
 
     which is the library's continuation there.  The shift is first moved to
     Re b >= 1 with Phi(w, n, b) = sum_{m<k} w^m / (b+m)^n + w^k Phi(w, n, b+k),
-    so that the integrand has one peak, at t = (n-1)/Re b."""
+    so that the integrand has one peak, at t = (n-1)/Re b.  Where
+    Re log w > 0 the pole log w lies next to the path, and the quadrature
+    is split at its real part too."""
     with mpmath.workdps(dps):
         ww, bb = mpmath.mpc(w), mpmath.mpc(b)
         k = max(0, math.ceil(1.0 - b.real))
@@ -60,7 +62,11 @@ def shifted_integral(w: complex, n: int, b: complex, dps: int = 30) -> complex:
                     / (1 - ww * mpmath.exp(-t)))
 
         peak = max(n - 1, 1) / c.real
-        nodes = [0] + [f * peak for f in (0.25, 0.5, 1, 2, 4)] + [mpmath.inf]
+        nodes = [f * peak for f in (0.25, 0.5, 1, 2, 4)]
+        pole = mpmath.log(ww).real
+        if pole > 0:
+            nodes.append(pole)
+        nodes = [0] + sorted(nodes) + [mpmath.inf]
         return complex(head + ww ** k * mpmath.quad(integrand, nodes))
 
 
