@@ -1,8 +1,8 @@
 """Lerch transcendent Phi(z, n, a) for positive integer order n.
 
 Five cross-validating evaluation routes (series, exponential-kernel
-integral, principal-value ray representation, inverse-argument expansion,
-integer-shift finite part), the region classifier whose Region picks the
+integral, principal-value ray representation, inverse-argument expansion
+and its integer-shift entry), the region classifier whose Region picks the
 dispatcher's routes, and residual checks for the symmetry relation and the
 surrounding identity web.
 """
@@ -25,7 +25,6 @@ from .errors import (
     DivergentAtOne,
     DomainError,
     LerchError,
-    NearIntegerShift,
     PoleAtInteger,
     PoleAtNonPositiveInteger,
     PoleOffRay,

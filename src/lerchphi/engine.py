@@ -4,17 +4,17 @@ Five routes cover the z-plane: the defining power series inside the unit
 disc, the exponential-kernel integral, shifted to Re a >= 1 by
 Phi(z, n, a) = sum_{m<k} z^m/(a+m)^n + z^k Phi(z, n, a+k), wherever its pole
 log z keeps clear of the path [0, oo), the principal-value ray
-representation inside the cut disc, the inverse-argument expansion outside
-the circle, and the Laurent finite-part route for integer shifts.  All
+representation inside the cut disc, and the inverse-argument expansion
+outside the circle, also served as integer-a next to an integer shift.  All
 powers use the principal logarithm, arg in (-pi, pi], which is what makes
 the sign of phi = arg(-ln z) meaningful.  The dispatcher phi tries the
 routes of the row of _ROUTE_TABLE that classify(z) picks, and returns a
 certified value or raises.
 
 The trigonometric side of the symmetry relation, in pv, inverse and
-symmetry_transform, and the integer-shift finite part are one quantity, a
-Taylor coefficient of e^(eps L) (cot(pi (a + eps)) + const), taken by the
-one helper _cot_term; no trigonometric term forms (n-1)!.
+symmetry_transform, is one quantity, a Taylor coefficient of e^(eps L)
+(cot(pi (a + eps)) + const), taken by the one helper _cot_term; no
+trigonometric term forms (n-1)!.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import factorial
+from math import factorial, fabs
 from typing import NamedTuple
 
 from .errors import (
     BeyondDoubleRange,
     DomainError,
-    NearIntegerShift,
     PoleAtInteger,
     ToleranceNotMet,
 )
@@ -68,9 +67,10 @@ _CIRCLE_BAND = 1e-6
 # Relative tolerance for positive-real-axis membership (sgn(phi) = 0 there).
 _AXIS_RTOL = 1e-14
 
-# Shifts within this distance of a positive integer are rerouted to the
-# integer-shift (Laurent finite part) route.
-_INTEGER_SHIFT_GUARD = 1e-8
+# Within this distance of a positive integer N the inverse expansion folds
+# its cot pole into the tail term m = N; beyond it their cancellation,
+# about |b - N|^-n, no longer stalls the plain sum at tol 1e-10.
+_FOLD_RADIUS = 0.25
 
 # The integral route refuses z whose pole log z lies nearer than this to its
 # path [0, oo): next to the path a DE level sequence can contract early and
@@ -127,14 +127,6 @@ def _is_real(z: complex) -> bool:
     return abs(z.imag) <= _AXIS_RTOL * abs(z)
 
 
-def _near_positive_integer(a: complex):
-    """Rounded positive integer if a lies within the reroute guard, else None."""
-    k = round(a.real)
-    if k >= 1 and abs(a - k) < _INTEGER_SHIFT_GUARD:
-        return k
-    return None
-
-
 def _exterior_log(w: complex, route: str):
     """(log w, sgn(phi)) for the routes in powers of 1/w."""
     if abs(w) <= 1.0 - 1e-12 or _on_positive_real_axis(w):
@@ -162,19 +154,60 @@ def _quadrature_scale(n: int, route: str) -> float:
     return float(factorial(n - 1))
 
 
-def _cot_term(n: int, L: complex, coeffs, low: int = 0) -> complex:
-    """The eps^(n-1) coefficient of e^(eps L) sum_j coeffs[j] eps^(j+low):
-    sum_k L^k/k! coeffs[n-1-k-low].  With coeffs = cot_pi_taylor(n - 1, a, c)
-    it is e^(-a L)/(n-1)! d^(n-1)/da^(n-1) [e^(a L) (cot(pi a) + c)], the
-    trigonometric side of the symmetry relation without pi e^(a L); with
-    the Laurent coefficients of cot(pi eps) (low = -1) it is the finite
-    part of the integer-shift limit."""
-    total = 0j
+def _cot_term(n: int, L: complex, coeffs):
+    """(sum_k L^k/k! coeffs[n-1-k], the sum of the terms' |Re| + |Im|, which
+    sets its rounding): the eps^(n-1) coefficient of e^(eps L) sum_j
+    coeffs[j] eps^j.  With coeffs = cot_pi_taylor(n - 1, a, c) it is
+    e^(-a L)/(n-1)! d^(n-1)/da^(n-1) [e^(a L) (cot(pi a) + c)], the
+    trigonometric side of the symmetry relation without pi e^(a L)."""
+    total, size = 0j, 0.0
     power = 1.0 + 0j  # L^k / k!
-    for k in range(n - low):
-        total += power * coeffs[n - 1 - k - low]
+    for k in range(n):
+        term = power * coeffs[n - 1 - k]
+        total += term
+        size += fabs(term.real) + fabs(term.imag)
         power = power * L / (k + 1)
-    return total
+    return total, size
+
+
+def _fold_side(n: int, L: complex, eps: complex, sgn: int):
+    """(S, a bound on the sum of its terms' moduli): S, the inverse
+    expansion's trigonometric side at b = N + eps, N >= 1, plus its tail
+    term m = N, over w^-b, is pi _cot_term(n, L, r) - L^n phi_n(eps L).
+    The pole 1/(pi x) of cot(pi x) and the tail term sum to -w^-b L^n
+    phi_n(eps L), phi_n(x) = sum_j x^j/(j+n)!, the phi-functions of
+    exponential integrators; r_i are the Taylor coefficients at -eps of
+    sgn i - R, R(x) = cot(pi x) - 1/(pi x) = sum_(j odd) c_j x^j.  One
+    _cot_term has the coefficients -eps^j, then pi r: no L^n or n! alone."""
+    e, x = abs(eps), abs(eps * L)
+    if not e:  # -pi c_j for j = -1 .. n-1, c_-1 = 1/pi: the finite part
+        coeffs = [-math.pi * v for v in _cot_pi_laurent(n)[:n + 1]]
+        coeffs[1] += math.pi * sgn * 1j
+        return _cot_term(n + 1, L, coeffs)
+    # M terms of each r_i and K of phi_n: their terms then shrink by 1/2 a
+    # step or more, and the rest is below 2^-53 of the sizes below
+    M, t = 1, n * e  # t = C(n-1+M, M) e^M
+    while t > 2.0**-54 or (n + M) * e > 0.5 * (M + 1):
+        M += 1
+        t *= (n - 1 + M) / M * e
+    K, t = 0, 1.0  # t = x^K n!/(n+K)!
+    while t > 2.0**-54 or x > 0.5 * (n + K + 1):
+        K += 1
+        t *= x / (n + K)
+    c, y = _cot_pi_laurent(n + M), eps * eps
+    coeffs = [-eps ** (K - 1 - k) for k in range(K)]
+    for i in range(n):  # the odd j = i + m, weight C(j, i) (-eps)^(j-i)
+        weight, total = 1.0 if i % 2 else -(i + 1) * eps, 0j
+        for j in range(i | 1, i + M, 2):
+            total += c[j + 1] * weight
+            weight *= y * ((j + 1) * (j + 2) / ((j + 1 - i) * (j + 2 - i)))
+        coeffs.append(-math.pi * total)
+    coeffs[K] += math.pi * sgn * 1j
+    # r_i can cancel: its size is (pi/3) sum_m C(i+m, m) e^m
+    sizes = ([e ** (K - 1 - k) for k in range(K)]
+             + [math.pi ** 2 / 3.0 / (1.0 - e) ** (i + 1) for i in range(n)])
+    sizes[K] += math.pi * abs(sgn)
+    return _cot_term(n + K, L, coeffs)[0], _cot_term(n + K, L, sizes)[1]
 
 
 def classify(z: complex) -> Region:
@@ -216,6 +249,8 @@ def phi_series(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult
     # the work cap grows with |a|, which a sum may need to pass
     cap = max(10_000 if on_circle else 300_000, int(2 * abs(a)) + 12)
     value, bound, m = _power_sum(z, a, 1, n, 0, cap, tol, tol)
+    if not cmath.isfinite(value):  # a term next to a pole is beyond it
+        raise BeyondDoubleRange(f"Phi({z}, {n}, {a}) is beyond the double range")
     return certify(value, bound, "series", m, tol)
 
 
@@ -232,7 +267,8 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
     refuses, as the quadrature's error estimate can miss there.  The
     estimate counts the head's rounding as _power_sum gives it,
     (n + 3) 2^-53 sum_{m<k} |z^m/(a+m)^n|, and the whole estimate is checked
-    against tol; the head terms count among terms_or_nodes."""
+    against tol; the head terms count among terms_or_nodes.  z^k multiplies
+    the quadrature's error, so where |z| > 1 its target is tol/|z|^k."""
     z, a = _validate(z, n, a, tol)
     g = _quadrature_scale(n, "integral route")
     require_off_nonpositive_poles(a)
@@ -260,20 +296,20 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
             return ((t * cmath.exp(-b * t / (n - 1))) ** (n - 1)
                     / (1.0 - z * cmath.exp(-t)))
 
+    try:
+        zk = z ** k
+    except OverflowError:  # a power beyond the double range: a stall
+        zk = complex(math.inf)
+    target = tol / abs(zk) if 1.0 < abs(zk) < math.inf else tol
     ray = RayIntegrand(integrand, 0.0, decay_rate=b.real, growth_degree=n - 1)
     try:
-        res, stall = integrate_ray(ray, tol), None
+        res, stall = integrate_ray(ray, target), None
     except ToleranceNotMet as exc:
         res, stall = exc.result, exc
     value, err = res.value / g, res.err_estimate / g
     if k:
         head, rounding, _ = _power_sum(z, a, 1, n, 0, k, 0.0, 0.0)
-        try:
-            zk = z ** k
-        except OverflowError:  # a power beyond the double range: a stall
-            zk = complex(math.inf)
-        value = head + zk * value
-        err = abs(zk) * err + rounding
+        value, err = head + zk * value, abs(zk) * err + rounding
     return certify(value, err, "integral", res.terms_or_nodes + k, tol, stall)
 
 
@@ -362,7 +398,7 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
         pv, stall = pv_integrate_ray(ray, t0, fold, tol, tail=tail), None
     except ToleranceNotMet as exc:
         pv, stall = exc.result, exc
-    trig = math.pi * _cpow(z, -a) * _cot_term(n, t0, cot_pi_taylor(n - 1, a))
+    trig = math.pi * _cpow(z, -a) * _cot_term(n, t0, cot_pi_taylor(n - 1, a))[0]
     value = (-1.0) ** (n - 1) * (pv.value / g + trig)
     if not cmath.isfinite(trig) or (stall is None and not cmath.isfinite(value)):
         raise BeyondDoubleRange(
@@ -389,89 +425,68 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
     - sum_{m>=1} w^(-m) / (b - m)^n,
 
     whose first term is -pi w^-b _cot_term(n, log w, cot_pi_taylor(n - 1,
-    -b, -sgn(phi) i)).
-    """
+    -b, -sgn(phi) i)).  Within _FOLD_RADIUS of an integer N >= 1 it and the
+    tail term m = N, which cancel, are summed as one: w^-b _fold_side(n,
+    log w, b - N, sgn(phi)).  The tail meets the absolute target tol/2, as
+    the first term may cancel most of it; the estimate adds that term's
+    rounding, relative to its terms' moduli and its exponent's parts."""
+    return _inverse(w, n, b, tol, "inverse")
+
+
+def phi_integer_a(w: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
+    """phi_inverse tagged integer-a, for a within _FOLD_RADIUS of an integer
+    N >= 1: at a = N the Laurent finite part plus (-1)^n w^-N Li_n(1/w)."""
+    return _inverse(w, n, a, tol, "integer-a")
+
+
+def _inverse(w, n, b, tol, method):
+    """phi_inverse, certified under the tag method."""
     w, b = _validate(w, n, b, tol)
     log_w, sgn = _exterior_log(w, "inverse-argument expansion")
-    k = _near_positive_integer(b)
-    if k is not None:
-        raise NearIntegerShift(
-            f"shift {b} within {_INTEGER_SHIFT_GUARD:g} of positive integer "
-            f"{k}; use the integer-shift route"
-        )
     require_off_nonpositive_poles(b)
-
-    cot = _cot_term(n, log_w, cot_pi_taylor(n - 1, -b, -sgn * 1j))
-    # -pi w^-b cot as one exponential: at large |Im b| w^-b alone may be
-    # beyond the double range where the product, its cot side small, is not
-    log_cot, expo = (cmath.log(-math.pi * cot) if cot else 0j), b * log_w
+    N = round(b.real)
+    fold = N >= 1 and abs(b - N) <= _FOLD_RADIUS
+    if method == "integer-a" and not fold:
+        raise DomainError(f"integer-a needs a within {_FOLD_RADIUS:g} of an "
+                          f"integer N >= 1, got a = {b}")
+    cot, size = (_fold_side(n, log_w, b - N, sgn) if fold else
+                 _cot_term(n, log_w, cot_pi_taylor(n - 1, -b, -sgn * 1j)))
+    side = cot if fold else -math.pi * cot
+    # side w^-b as one exponential: at large |Im b| w^-b alone may be beyond
+    # the double range where the product, its cot side small, is not
+    log_side, expo = (cmath.log(side) if side else 0j), b * log_w
     try:
-        trig = cmath.exp(log_cot - expo) if cot else 0j
+        trig = cmath.exp(log_side - expo) if side else 0j
     except OverflowError:
         trig = complex(math.inf)  # beyond the double range: raised below
 
     winv = 1.0 / w
-    abs_b = abs(b)
     # effectively on the circle: fixed-term fallback with an explicit
     # remainder bound, reported honestly (no useful convergence rate there)
-    cap = max(10_000 if abs(winv) > 1.0 - 1e-5 else 300_000, int(abs_b) + 16)
-    # absolute target: the trig term may cancel most of the sum
-    tail, bound, j = _power_sum(winv, b, -1, n, 1, cap + 1, 0.5 * tol, 0.0)
-    m = j - 1
+    cap = max(10_000 if abs(winv) > 1.0 - 1e-5 else 300_000, int(abs(b)) + 16)
+    # folded, the tail runs from N + 1 after the fixed head m < N; at b = N
+    # it is (-1)^n w^-N Li_n(1/w), in closed form at n = 1
+    start = N + 1 if fold else 1
+    if fold and b == N:
+        tail, bound, terms = _polylog_sum(n, winv, 0.25 * tol)
+        scale = (-1.0) ** n * w ** -N
+        tail, bound = scale * tail, abs(scale) * bound
+    else:
+        tail, bound, j = _power_sum(winv, b, -1, n, start, cap + 1,
+                                    0.5 * tol, 0.0)
+        terms = j - start
     value = trig - tail
+    if start > 2:
+        head, rounding, _ = _power_sum(winv, b, -1, n, 1, N, 0.0, 0.0)
+        value, bound, terms = value - head, bound + rounding, terms + N - 1
     if not (cmath.isfinite(trig) and cmath.isfinite(value)):
-        raise BeyondDoubleRange(
-            f"Phi({w}, {n}, {b}) is beyond the double range "
-            f"(inverse-argument expansion: value {value})")
-    # the exponent's rounding is relative to the sizes of its two parts; on
-    # the circle with n = 1 the tail bound is infinite: a stall
-    err = bound + 5e-16 * (n + 1 + abs(log_cot) + abs(expo)) * abs(trig)
-    return certify(value, err, "inverse", m, tol)
-
-
-# ---------------------------------------------------------------------------
-# Route 5: integer shift b = N via the Laurent finite part
-
-def _integer_shift_limit(n: int, log_w: complex, extra0: complex = 0j) -> complex:
-    """lim_{eps -> 0} { pi/(n-1)! d^(n-1)/d eps^(n-1) (-w^eps (cot(pi eps)
-    + extra0)) - (-1)^n / eps^n }: the eps^(n-1) coefficient of
-    w^eps (cot(pi eps) + extra0) times -pi, i.e. -pi sum_{k=0..n} L^k/k!
-    c_(n-1-k) - pi L^(n-1)/(n-1)! extra0 with L = log w and c_j the Laurent
-    coefficients of cot(pi eps).  The pole term cancels exactly."""
-    coeffs = _cot_pi_laurent(n - 1)[:n + 1]  # a copy: the list is shared
-    coeffs[1] += extra0
-    return -math.pi * _cot_term(n, log_w, coeffs, low=-1)
-
-
-def phi_integer_a(w: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
-    """Phi(w, n, a) for |w| > 1 off [0, oo) and a within 1e-8 of a positive
-    integer N: the finite-part route at N.  For a != N the substitution slack
-    4 (n + 1) |a - N| (1 + |value|) joins the error estimate before the
-    tolerance check."""
-    w, a = _validate(w, n, a, tol)
-    N = _near_positive_integer(a)
-    if N is None:
-        raise DomainError(
-            f"integer-shift route needs a within {_INTEGER_SHIFT_GUARD:g} of "
-            f"a positive integer, got a = {a}"
-        )
-    log_w, sgn = _exterior_log(w, "integer-shift route")
-    finite_part = _integer_shift_limit(n, log_w, extra0=-sgn * 1j)
-    li_val, li_err, li_terms = _polylog_sum(n, 1.0 / w, 0.25 * tol)
-    # w^-N sum_{k=1}^{N-1} w^k / k^n, summed as sum_{j=1}^{N-1} w^-j / (N-j)^n
-    # so that no power of w overflows for large N
-    shift = 0j
-    if N > 1:
-        shift, _, _ = _power_sum(1.0 / w, float(N), -1, n, 1, N, 0.0, 0.0)
-    inner = finite_part - (-1.0) ** n * li_val
-    w_neg_n = w ** (-N)
-    value = w_neg_n * inner - shift
-    err = (abs(w_neg_n) * (li_err + 2e-15 * (abs(inner) + 1.0))
-           + 2e-15 * abs(shift))
-    terms = li_terms + max(0, N - 1)
-    if a != N:
-        err += abs(a - N) * (n + 1) * (1.0 + abs(value)) * 4.0
-    return certify(value, err, "integer-a", terms, tol)
+        raise BeyondDoubleRange(f"Phi({w}, {n}, {b}) is beyond the double "
+                                f"range (inverse-argument expansion: value "
+                                f"{value})")
+    # on the circle with n = 1 the tail bound is infinite: a stall
+    spread = (n + 1) * size / abs(cot) if cot else 0.0
+    err = bound + 5e-16 * (spread + abs(log_side) + abs(expo)) * abs(trig)
+    return certify(value, err, method, terms, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +513,7 @@ def symmetry_transform(z: complex, n: int, a: complex):
     t0 = -cmath.log(z)
     sgn = 1 if cmath.phase(t0) > 0 else -1
     trig = (math.pi * (-1.0) ** (n - 1) * _cpow(z, -a)
-            * _cot_term(n, t0, cot_pi_taylor(n - 1, a, -sgn * 1j)))
+            * _cot_term(n, t0, cot_pi_taylor(n - 1, a, -sgn * 1j))[0])
     return LerchQuery(1.0 / z, n, 1.0 - a), trig
 
 
@@ -531,12 +546,12 @@ class _Row(NamedTuple):
 # row serves both sides of the circle
 _ROUTE_TABLE = {
     Region.INSIDE_DISC: _Row(("series", "integral")),
-    Region.BAND: _Row(("integral", "series", "inverse", "integer-a")),
+    Region.BAND: _Row(("integral", "series", "inverse")),
     Region.ONE: _Row(("series",), "singular stratum z=1, n=1"),
     Region.NEAR_ONE: _Row(
         (), f"z = {{z}} within {_CIRCLE_BAND:g} of the singular point z = 1"),
-    Region.EXTERIOR: _Row(("inverse", "integer-a", "integral")),
-    Region.EXTERIOR_NEGATIVE_REAL: _Row(("integral", "inverse", "integer-a")),
+    Region.EXTERIOR: _Row(("inverse", "integral")),
+    Region.EXTERIOR_NEGATIVE_REAL: _Row(("integral", "inverse")),
     Region.CUT: _Row((), "z = {z} on the singular cut (1, oo); no implemented "
                          "representation applies"),
 }

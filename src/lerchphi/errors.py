@@ -17,11 +17,6 @@ class PoleAtNonPositiveInteger(DomainError):
     """a sits (numerically) on one of the poles 0, -1, -2, ... of Phi(z, n, a)."""
 
 
-class NearIntegerShift(DomainError):
-    """Shift too close to a positive integer for the inverse-argument expansion;
-    the integer-shift route applies instead."""
-
-
 class DivergentAtOne(DomainError):
     """Li_1(x) requested at x = 1, where the series diverges."""
 

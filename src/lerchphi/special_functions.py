@@ -81,8 +81,8 @@ def require_off_nonpositive_poles(a: complex) -> None:
 def _first_below(c0: float, log_rho: float, p: int, h: float,
                  top: float) -> float:
     """A point in [h, top] at or below the root of the convex, decreasing
-    F(w) = c0 + w log_rho - p log w, or top where F(top) > 0; the second
-    part's step count in _power_sum, where log_rho may be 0.
+    F(w) = c0 + w log_rho - p log w, or top where F(top) > 0; the step count
+    of either part of the bound in _power_sum, where log_rho may be 0.
 
     Newton's method: a tangent of a convex function lies below it, so a
     step from anywhere lands at or below the root, and further steps climb
@@ -95,8 +95,7 @@ def _first_below(c0: float, log_rho: float, p: int, h: float,
         linear = (c0 - p * log(h)) / -log_rho
         if linear < w:
             w = linear
-    if w > top:
-        w = top
+    w = min(max(w, h), top)  # a start below h puts the root below it
     while True:
         step = (c0 + w * log_rho - p * log(w)) / (p / w - log_rho)
         w += step
@@ -174,7 +173,7 @@ def _power_sum(x: complex, c: complex, sign: int, n: int, k: int, cap: int,
                 for i in range(sign * j, sign * stop, sign):
                     keep(power / (c + i) ** n)
                     power *= x
-            except OverflowError:  # the terms from i on, one by one
+            except (OverflowError, ZeroDivisionError):  # from i on, one by one
                 for i in range(i, sign * stop, sign):
                     keep(_term(power, c + i, n))
                     power *= x
@@ -210,30 +209,17 @@ def _power_sum(x: complex, c: complex, sign: int, n: int, k: int, cap: int,
                 break
             stop = j + 1  # the rounding term, not the bound, is above goal
             continue
-        if log_b == inf:  # on the circle, before the second part holds
-            stop = min(cap, max(j + 1, floor(2.0 - shift))) if n > 1 else cap
+        if bound == inf:  # on the circle, or a term beyond the double range
+            stop = (min(cap, max(j + 1, floor(2.0 - shift)))
+                    if n > 1 or log_b < inf else cap)
             continue
         # the first index whose bound can meet the largest target the
         # partial sums can reach; the margin covers the logs' rounding
         log_reach = log(max(goal, t_rel * (s_abs + bound))) + 1e-9
         m = float(cap - j)
-        if log_geo is not None:
-            # Newton's method on the first part's lower bound, as in
-            # _first_below, from the root of its linear term alone
+        if log_geo is not None:  # the first part's lower bound
             c0 = (j - h) * log_rho + log_geo - log_reach
-            top = h + m
-            w = (c0 - n * log(h)) / -log_rho
-            if w > top:
-                w = top
-            while True:
-                step = ((c0 + w * log_rho - n * log(w))
-                        / (n / w - log_rho))
-                w += step
-                if -0.5 < step < 0.5 or w <= h or w >= top:
-                    break
-            m = (w if w < top else top) - h
-            if m < 0.0:
-                m = 0.0
+            m = _first_below(c0, log_rho, n, h, h + m) - h
         if h < second_from:
             # the second part, from the first step where it holds, unless
             # it stays above reach up to m
@@ -264,12 +250,15 @@ def _abs_sum(terms: list) -> float:
 
 def _term(power: complex, base: complex, n: int) -> complex:
     """power / base^n, from the reciprocal where base^n is beyond the double
-    range: that underflows instead (not base ** -n, which is NaN for complex
-    base and n <= 100)."""
+    range or underflows to 0 (not base ** -n, which is NaN for complex base
+    and n <= 100); inf where the term itself is beyond the double range."""
     try:
         return power / base ** n
-    except OverflowError:
-        return power * (1.0 / base) ** n
+    except (OverflowError, ZeroDivisionError):
+        try:
+            return power * (1.0 / base) ** n
+        except OverflowError:
+            return complex(inf)
 
 
 # ---------------------------------------------------------------------------

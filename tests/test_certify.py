@@ -3,9 +3,11 @@
 Every route but pv ends in certify: a result is returned only when no
 quadrature stalled, its value is finite and its whole error estimate is at
 most tol * max(1, |value|).  The inverse expansion's estimate is its tail
-bound plus the rounding of its trigonometric side, and next to an integer
-shift the two cancel; the first points below are where the tail bound alone
-met tol and the whole estimate did not.  The last ones pin how the
+bound plus the rounding of its trigonometric side, relative to the moduli
+of that side's terms.  Next to an integer shift the side and the tail term
+m = N grow like |a - N|^-n and cancel; the expansion sums the two as one,
+and the first points below, where the tail bound alone met tol and the
+whole estimate did not, certify by it.  The last ones pin how the
 trigonometric side is formed, and the series route's check at z = 1.  The
 reference is oracles.lerch_reference.
 """
@@ -72,24 +74,20 @@ def near_integer_points(seed, count):
 
 
 def test_near_integer_shift_is_certified_or_raised():
-    # the trig side and the sum cancel next to the integer: a returned
-    # result meets tol with its whole estimate, and every estimate, a
-    # raise's carried one too, bounds the error
-    methods = set()
+    # the folded expansion serves every point next to the integer: each
+    # result meets tol with its whole estimate, and the estimate bounds the
+    # error
     for z, n, a in near_integer_points(0, 200):
-        try:
-            res = phi(z, n, a, TOL)
-            assert res.err_estimate <= TOL * max(1.0, abs(res.value)), (z, n, a)
-            methods.add(res.method)
-        except ToleranceNotMet as exc:
-            res = exc.result
+        res = phi(z, n, a, TOL)
+        assert res.method == "inverse", (z, n, a)
+        assert res.err_estimate <= TOL * max(1.0, abs(res.value)), (z, n, a)
         ref = lerch_reference(z, n, a, dps=20)
         assert abs(res.value - ref) <= res.err_estimate, (z, n, a)
-    assert methods == {"inverse", "integral"}
 
 
 @pytest.mark.parametrize("z,n,a", [
-    # the inverse expansion's estimate was 0.072 with an error of 0.011
+    # without the fold the expansion's estimate was 0.072 with an error of
+    # 0.011
     (-6.131574141793447 + 0.8740346975162875j, 8,
      0.9833739082725641 + 0.006348207666513117j),
     # estimate 4.3e-8, error 1.9e-8
@@ -97,29 +95,53 @@ def test_near_integer_shift_is_certified_or_raised():
      1.9740718492010614 + 0.0023932338073846537j),
 ], ids=["one-percent", "plane-worst"])
 def test_whole_estimate_moves_the_point_to_the_integral(z, n, a):
-    with pytest.raises(ToleranceNotMet) as info:
-        phi_inverse(z, n, a, TOL)
-    assert info.value.result.err_estimate > TOL * max(
-        1.0, abs(info.value.result.value))
     res = phi(z, n, a, TOL)
-    assert res.method == "integral"
+    assert res.method == "inverse"
     assert res.err_estimate <= TOL * max(1.0, abs(res.value))
     assert abs(res.value - lerch_reference(z, n, a)) <= res.err_estimate
 
 
 def test_no_route_certifies_next_to_the_cut():
     # arg z = 0.0057: the integral refuses (its pole is within 0.1 of its
-    # path), and the inverse expansion's whole estimate is 13 tol
+    # path); the folded inverse expansion certifies
     z, n, a = (1.5179296702451195 + 0.008648785460432244j, 6,
                1.925577893870142 - 0.09858362274525723j)
     with pytest.raises(DomainError, match="pole log z"):
         phi_integral(z, n, a, TOL)
-    with pytest.raises(ToleranceNotMet) as info:
-        phi(z, n, a, TOL)
-    res = info.value.result
+    res = phi(z, n, a, TOL)
     assert res.method == "inverse"
+    assert res.err_estimate <= TOL * max(1.0, abs(res.value))
     # next to the path the quadrature oracle needs more digits
     assert abs(res.value - shifted_integral(z, n, a, dps=50)) <= res.err_estimate
+
+
+@pytest.mark.parametrize("z,n,a", [
+    (19.425724237906962 - 1.1658566801192547j, 6,
+     0.9866720837230369 - 0.06156479817084248j),
+    (19.470608878632582 + 0.5006638419363176j, 5,
+     2.979363839750631 + 0.003769048683259113j),
+    (2.813303914856044 + 0.15279690525299852j, 5,
+     1.9770415940023893 + 0.07484499140235168j),
+    (8.13525487258506 - 11.414596660011922j, 2,
+     0.9999368521034495 + 3.3298190624297324e-05j),
+], ids=["plane-r19-n6", "plane-r19-n5", "plane-r2.8", "r14"])
+def test_near_integer_next_to_the_cut_certifies_by_inverse(z, n, a):
+    # an expansion that stalls next to the integer leaves these points to
+    # the integral, which refuses the first three (|arg z| < 0.1 puts its
+    # pole log z next to its path)
+    res = phi(z, n, a, TOL)
+    assert res.method == "inverse"
+    assert res.err_estimate <= TOL * max(1.0, abs(res.value))
+    assert abs(res.value - lerch_reference(z, n, a, dps=50)) <= res.err_estimate
+
+
+def test_inverse_rounding_counts_the_cot_sides_cancellation():
+    # the 21 terms of the cot side sum to 1/743 of their moduli; a rounding
+    # term relative to |trig| alone was 1.05e-12 against an error of 1.17e-12
+    z, n, a = -14.2309 + 2.4724j, 21, -1.0444 + 0.9313j
+    res = phi_inverse(z, n, a, TOL)
+    assert abs(res.value - lerch_reference(z, n, a, dps=50)) <= res.err_estimate
+    assert phi(z, n, a, TOL) == res
 
 
 @pytest.mark.parametrize("z", [-16.0, 16j])

@@ -198,7 +198,8 @@ class TestRoutes:
     @pytest.mark.parametrize("argv, methods", [
         (("--z", "0.5,0", "--n", "1", "--a", "0.5,0"),
          ["series", "integral", "pv"]),
-        (("--z", "0,2", "--n", "2", "--a", "2,0"), ["integral", "integer-a"]),
+        (("--z", "0,2", "--n", "2", "--a", "2,0"),
+         ["integral", "inverse", "integer-a"]),
     ])
     def test_compare_lists_routes_in_table_order(self, capsys, argv, methods):
         code, out, _ = run(capsys, "compare", *argv, "--format", "json")
@@ -206,8 +207,8 @@ class TestRoutes:
         names = [row["method"] for row in json.loads(out)["methods"]]
         assert names == methods
 
-    # a shift 5e-9 off the integer 2: the forced integer-shift route must
-    # carry the slack of substituting a = 2
+    # a shift 5e-9 off the integer 2: the forced integer-shift route sums
+    # the folded expansion at a itself, with no substitution of a = 2
     NEAR_INTEGER = ("--z", "0,2", "--n", "2", "--a", "2.000000005,0")
 
     def test_forced_integer_shift_estimate_covers_error(self, capsys):

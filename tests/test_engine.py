@@ -24,7 +24,6 @@ from lerchphi.engine import (
 )
 from lerchphi.errors import (
     DomainError,
-    NearIntegerShift,
     PoleAtInteger,
     PoleAtNonPositiveInteger,
     ToleranceNotMet,
@@ -170,6 +169,16 @@ class TestPhiIntegral:
         assert res.terms_or_nodes > math.ceil(1 - a.real)
 
 
+    def test_target_divided_by_the_shift_power(self):
+        # |z| = 14 and one head term: z multiplies the quadrature's error,
+        # whose target was tol itself, and the route stalled at 2.6e-10
+        z, n, a = (8.13525487258506 - 11.414596660011922j, 2,
+                   0.9999368521034495 + 3.3298190624297324e-05j)
+        res = phi_integral(z, n, a, 1e-10)
+        assert res.err_estimate <= 1e-10 * max(1.0, abs(res.value))
+        assert abs(res.value - lerch_reference(z, n, a, dps=50)) <= res.err_estimate
+
+
 class TestPhiPV:
     def test_cot_term_vanishes_at_half(self):
         res = phi_pv(0.5, 1, 0.5, 1e-9)
@@ -230,10 +239,12 @@ class TestPhiInverse:
         assert abs(v_in + (-1) ** n / z * v_out - trig) < 1e-9
 
     def test_integer_shift_rejected(self):
-        with pytest.raises(NearIntegerShift):
-            phi_inverse(-2.0, 1, 1.0)
-        with pytest.raises(NearIntegerShift):
-            phi_inverse(3j, 2, 2 + 1e-9j)
+        # at and next to a positive integer shift the expansion sums the
+        # pole of its cot side and its tail term m = N as one, and certifies
+        for w, n, b in [(-2.0, 1, 1.0), (3j, 2, 2 + 1e-9j)]:
+            res = phi_inverse(w, n, b)
+            assert res.method == "inverse"
+            assert abs(res.value - lerch_reference(w, n, b)) <= res.err_estimate
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -313,7 +324,9 @@ class TestPhiIntegerShift:
             ref = phi_integral(w, n, float(bign), 1e-12).value
             assert abs(res.value - ref) <= 1e-10 * max(1.0, abs(ref))
             assert res.err_estimate <= 1e-10 * max(1.0, abs(res.value))
-        assert phi(20j, 2, float(bign)).method == "integer-a"
+        res = phi(20j, 2, float(bign))
+        assert res.method == "inverse"
+        assert abs(res.value - lerch_reference(20j, 2, bign)) <= res.err_estimate
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -367,10 +380,12 @@ class TestDispatcher:
         assert phi(0.5, 2, 1.0).method == "series"
         assert phi(2j, 2, 0.25).method == "inverse"
         assert phi(-2.0, 2, 1.0).method == "integral"
-        assert phi(2j, 2, 3).method == "integer-a"
-        # integer-a's substitution slack, 6e-8, fails the tolerance, and
-        # the exterior row ends in the integral
-        assert phi(2j, 2, 3 + 5e-9j).method == "integral"
+        # at and next to an integer shift the inverse expansion folds its
+        # pole and certifies
+        for a in (3, 3 + 5e-9j):
+            res = phi(2j, 2, a)
+            assert res.method == "inverse"
+            assert abs(res.value - lerch_reference(2j, 2, a)) <= res.err_estimate
 
     def test_cross_method_agreement(self):
         v1 = phi(2j, 2, 0.25).value
@@ -523,8 +538,7 @@ def test_dispatcher_matches_the_route_its_tag_names():
             expected = ROUTES[res.method](z, n, a, tol)
             assert res.err_estimate <= tol * max(1.0, abs(res.value))
         assert res == expected, (z, n, a)
-    assert {"series", "integral", "inverse", "integer-a",
-            "raised inverse"} <= seen
+    assert {"series", "integral", "inverse", "raised inverse"} <= seen
 
 
 class TestRouteContract:

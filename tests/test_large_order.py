@@ -115,6 +115,16 @@ def test_value_beyond_the_double_range_raises(n, capsys):
     assert "double range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a, n", [(0.01, 200), (0.01 + 0.001j, 200),
+                                  (0.002, 120)])
+def test_series_term_beyond_the_double_range_raises(a, n):
+    # |Phi(0.5, n, a)| is about |a|^-n, beyond the double range; the first
+    # term's denominator a^n underflows to 0, and a bare ZeroDivisionError
+    # or ValueError escaped
+    with pytest.raises(BeyondDoubleRange, match="double range"):
+        engine.phi(0.5, n, a, TOL)
+
+
 def test_pv_beyond_the_double_range_raises():
     # |Phi(0.5i, 60, 1e-6)| is about 1e360: the cot coefficients of the trig
     # term overflow, where the route returned NaN tagged plain pv

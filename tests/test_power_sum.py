@@ -181,6 +181,17 @@ def test_series_estimate_counts_the_rounding():
         assert abs(res.value - ref) <= res.err_estimate, (z, n, a)
 
 
+def test_series_next_to_the_circle():
+    # |z| = 1 - 1e-8: a Newton start for the bound's second part below the
+    # first index where it holds took the log of a number <= 0
+    z = -0.4161468364805589 + 0.9092974266801941j
+    try:
+        res = phi_series(z, 3, 0.4, 1e-10)
+    except ToleranceNotMet as exc:
+        res = exc.result
+    assert abs(res.value - lerch_reference(z, 3, 0.4)) <= res.err_estimate
+
+
 @pytest.mark.parametrize("z, n, a, ceiling", [
     # the bound held only from i = 2|a| + 4 on, which cost 504, 2,004 and
     # 2,000,004 terms

@@ -1,4 +1,5 @@
-"""The README's CLI examples exit 0, and its Python quick start runs."""
+"""The README's CLI examples exit 0, its Python quick start runs, and its
+table of the routes phi tries is engine._ROUTE_TABLE."""
 
 import ast
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from lerchphi import cli
+from lerchphi.engine import _ROUTE_TABLE, Region
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -48,3 +50,17 @@ def test_readme_quick_start_runs(capsys):
         comment = line.partition("#")[2].strip()
         if comment[:1] in ("'", '"'):
             assert out == ast.literal_eval(comment), line
+
+
+def test_readme_route_table_is_the_engine_table():
+    """Each row of the README's `phi tries` table names, in order, the
+    routes of that region's _ROUTE_TABLE row; every region has a row."""
+    table = re.search(r"\n(\| `classify\(z\)`.*?)\n\n", README.read_text(),
+                      re.S).group(1)
+    rows = {}
+    for line in table.splitlines()[2:]:
+        region, _, tries = (cell.strip() for cell in
+                            re.split(r"(?<!\\)\|", line.strip("|")))
+        rows[Region[region.strip("`")]] = tuple(
+            re.findall(r"`([a-z-]+)`", tries))
+    assert rows == {region: row.routes for region, row in _ROUTE_TABLE.items()}

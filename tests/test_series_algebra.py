@@ -1,8 +1,9 @@
 """Truncated Laurent-series arithmetic, kept as a reference for the
 integer-shift finite part.
 
-The library takes the finite part of the integer-shift route in closed form,
--pi sum_k L^k/k! c_(n-1-k) (``engine._integer_shift_limit``).  This file
+The library takes the finite part of the integer shift in closed form,
+-pi sum_k L^k/k! c_(n-1-k) - L^n/n!, the folded trigonometric side of the
+inverse expansion at eps = 0 (``engine._fold_side``).  This file
 builds the same limit the long way: Laurent windows of w^eps and cot(pi eps),
 their product, n - 1 derivatives, the pole subtraction and a check that every
 negative degree cancelled.  The arithmetic is tested on its own first, then
@@ -20,7 +21,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lerchphi.engine import _integer_shift_limit
+from lerchphi.engine import _fold_side
 from lerchphi.special_functions import bernoulli
 
 # Cancellation is exact analytically; residues above this relative level
@@ -367,5 +368,5 @@ def test_mul_associates_on_common_window(f, g, h):
 @pytest.mark.parametrize("w", [2j, -3.0 + 0.5j, 1.5 - 4j, -1.01 - 0.01j])
 def test_closed_form_matches_series_derivation(n, w):
     want = integer_shift_limit_by_series(n, w)
-    got = _integer_shift_limit(n, cmath.log(w))
+    got, _ = _fold_side(n, cmath.log(w), 0j, 0)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
