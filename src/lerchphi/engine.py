@@ -88,6 +88,9 @@ class Region(Enum):
     EXTERIOR = "Exterior"  # |z| >= 1 + 1e-6 off the real line
     EXTERIOR_NEGATIVE_REAL = "ExteriorNegativeReal"
     CUT = "Cut"  # the positive axis at |z| >= 1 + 1e-6
+    # Enum's own __hash__ hashes the name in Python on every table lookup;
+    # the members are singletons, so identity hashing, in C, is the same
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,8 @@ def _validate_order(n) -> None:
 
 def _validate(z, n, a, tol):
     """complex(z), complex(a), once n is a positive integer, z and a are
-    finite and 0 < tol < inf: the entry check of phi and every route."""
+    finite, 0 < tol < inf and a is off the poles 0, -1, -2, ...: the entry
+    check of phi and every route."""
     z, a = complex(z), complex(a)
     _validate_order(n)
     if not (cmath.isfinite(z) and cmath.isfinite(a) and 0.0 < tol < math.inf):
@@ -117,6 +121,7 @@ def _validate(z, n, a, tol):
             f"phi needs finite z and a and a finite tol > 0, got z = {z}, "
             f"a = {a}, tol = {tol}"
         )
+    require_off_nonpositive_poles(a)
     return z, a
 
 
@@ -177,8 +182,10 @@ def _fold_side(n: int, L: complex, eps: complex, sgn: int):
     The pole 1/(pi x) of cot(pi x) and the tail term sum to -w^-b L^n
     phi_n(eps L), phi_n(x) = sum_j x^j/(j+n)!, the phi-functions of
     exponential integrators; r_i are the Taylor coefficients at -eps of
-    sgn i - R, R(x) = cot(pi x) - 1/(pi x) = sum_(j odd) c_j x^j.  One
-    _cot_term has the coefficients -eps^j, then pi r: no L^n or n! alone."""
+    sgn i - R, R(x) = cot(pi x) - 1/(pi x).  R's poles at +-1 enter r_i in
+    closed form; the rest, sum_(j odd) (c_j + 2/pi) x^j with
+    |c_j + 2/pi| <= (3/pi) 2^-j, converges at ratio |eps|/2.  One _cot_term
+    has the coefficients -eps^j, then pi r: no L^n or n! alone."""
     e, x = abs(eps), abs(eps * L)
     if not e:  # -pi c_j for j = -1 .. n-1, c_-1 = 1/pi: the finite part
         coeffs = [-math.pi * v for v in _cot_pi_laurent(n)[:n + 1]]
@@ -186,28 +193,38 @@ def _fold_side(n: int, L: complex, eps: complex, sgn: int):
         return _cot_term(n + 1, L, coeffs)
     # M terms of each r_i and K of phi_n: their terms then shrink by 1/2 a
     # step or more, and the rest is below 2^-53 of the sizes below
-    M, t = 1, n * e  # t = C(n-1+M, M) e^M
-    while t > 2.0**-54 or (n + M) * e > 0.5 * (M + 1):
+    h, M = 0.5 * e, 1
+    t = n * h  # t = C(n-1+M, M) (e/2)^M
+    while t > 2.0**-54 or (n + M) * h > 0.5 * (M + 1):
         M += 1
-        t *= (n - 1 + M) / M * e
+        t *= (n - 1 + M) / M * h
     K, t = 0, 1.0  # t = x^K n!/(n+K)!
     while t > 2.0**-54 or x > 0.5 * (n + K + 1):
         K += 1
         t *= x / (n + K)
-    c, y = _cot_pi_laurent(n + M), eps * eps
     coeffs = [-eps ** (K - 1 - k) for k in range(K)]
+    # c_j + 2/pi; the even c_j, which vanish, are never read
+    d, y = [v + 2.0 / math.pi for v in _cot_pi_laurent(n + M)[1:]], eps * eps
+    up, down = 1.0 / (1.0 + eps), -1.0 / (1.0 - eps)  # pi times the poles'
     for i in range(n):  # the odd j = i + m, weight C(j, i) (-eps)^(j-i)
         weight, total = 1.0 if i % 2 else -(i + 1) * eps, 0j
         for j in range(i | 1, i + M, 2):
-            total += c[j + 1] * weight
+            total += d[j] * weight
             weight *= y * ((j + 1) * (j + 2) / ((j + 1 - i) * (j + 2 - i)))
-        coeffs.append(-math.pi * total)
+        coeffs.append(up + down - math.pi * total)
+        up, down = up / (1.0 + eps), down / (eps - 1.0)
     coeffs[K] += math.pi * sgn * 1j
-    # r_i can cancel: its size is (pi/3) sum_m C(i+m, m) e^m
-    sizes = ([e ** (K - 1 - k) for k in range(K)]
-             + [math.pi ** 2 / 3.0 / (1.0 - e) ** (i + 1) for i in range(n)])
-    sizes[K] += math.pi * abs(sgn)
-    return _cot_term(n + K, L, coeffs)[0], _cot_term(n + K, L, sizes)[1]
+    value, size = _cot_term(n + K, L, coeffs)
+    # pi r_i can cancel: its terms' moduli sum to at most
+    # 3 2^-i / (1 - e/2)^(i+1) + 2 / (1 - e)^(i+1), plus pi at i = 0
+    weight = 1.5  # 1.5 |L|^k / k! >= the |Re| + |Im| of L^k / k!
+    for k in range(n):
+        i = n - 1 - k
+        size += weight * (3.0 / (1.0 - h) * (2.0 - e) ** -i
+                          + 2.0 / (1.0 - e) ** (i + 1)
+                          + (0.0 if i else math.pi))
+        weight *= abs(L) / (k + 1)
+    return value, size
 
 
 def classify(z: complex) -> Region:
@@ -233,7 +250,6 @@ def phi_series(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult
     """Exactly rounded sum_m z^m / (a + m)^n, its estimate the certified
     tail plus the rounding of the terms kept (_power_sum)."""
     z, a = _validate(z, n, a, tol)
-    require_off_nonpositive_poles(a)
     r = abs(z)
     if r > 1.0 + 1e-12:
         raise DomainError(f"series route needs |z| <= 1, got |z| = {r:.6g}")
@@ -246,8 +262,10 @@ def phi_series(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult
         err += abs(z - 1.0) * 40.0
         return certify(value, err, "series", terms, tol)
 
-    # the work cap grows with |a|, which a sum may need to pass
-    cap = max(10_000 if on_circle else 300_000, int(2 * abs(a)) + 12)
+    # the work cap grows with |a|, which a sum may need to pass (|a/2|: abs
+    # raises where |a| is beyond the double range)
+    cap = max(10_000 if on_circle else 300_000,
+              int(min(4.0 * abs(0.5 * a), 1e15)) + 12)
     value, bound, m = _power_sum(z, a, 1, n, 0, cap, tol, tol)
     if not cmath.isfinite(value):  # a term next to a pole is beyond it
         raise BeyondDoubleRange(f"Phi({z}, {n}, {a}) is beyond the double range")
@@ -271,7 +289,6 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
     the quadrature's error, so where |z| > 1 its target is tol/|z|^k."""
     z, a = _validate(z, n, a, tol)
     g = _quadrature_scale(n, "integral route")
-    require_off_nonpositive_poles(a)
     if z:
         log_z = cmath.log(z)
         clearance = abs(log_z.imag) if log_z.real >= 0 else abs(log_z)
@@ -282,6 +299,8 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
                 f"distance {clearance:.3g}"
             )
     k = max(0, math.ceil(1.0 - a.real))
+    if k > 300_000:  # the head is a fixed count of k terms
+        raise DomainError(f"integral route shifts a at most 300000, got {a}")
     b = a + k
 
     if n == 1:
@@ -298,7 +317,7 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
 
     try:
         zk = z ** k
-    except OverflowError:  # a power beyond the double range: a stall
+    except (OverflowError, ZeroDivisionError):  # beyond the double range
         zk = complex(math.inf)
     target = tol / abs(zk) if 1.0 < abs(zk) < math.inf else tol
     ray = RayIntegrand(integrand, 0.0, decay_rate=b.real, growth_degree=n - 1)
@@ -327,7 +346,6 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
             "principal-value route needs z in the open unit disc cut along "
             f"the negative real axis, got z = {z}"
         )
-    require_off_nonpositive_poles(a)
     if dist_to_nearest_integer(a) <= 1e-12:
         raise PoleAtInteger(f"trigonometric term has a pole at integer a = {a}")
     t0 = -cmath.log(z)
@@ -443,7 +461,6 @@ def _inverse(w, n, b, tol, method):
     """phi_inverse, certified under the tag method."""
     w, b = _validate(w, n, b, tol)
     log_w, sgn = _exterior_log(w, "inverse-argument expansion")
-    require_off_nonpositive_poles(b)
     N = round(b.real)
     fold = N >= 1 and abs(b - N) <= _FOLD_RADIUS
     if method == "integer-a" and not fold:
@@ -453,21 +470,33 @@ def _inverse(w, n, b, tol, method):
                  _cot_term(n, log_w, cot_pi_taylor(n - 1, -b, -sgn * 1j)))
     side = cot if fold else -math.pi * cot
     # side w^-b as one exponential: at large |Im b| w^-b alone may be beyond
-    # the double range where the product, its cot side small, is not
+    # the double range where the product, its cot side small, is not; below
+    # e^-746 it is 0, whatever its phase
     log_side, expo = (cmath.log(side) if side else 0j), b * log_w
+    arg = log_side - expo
     try:
-        trig = cmath.exp(log_side - expo) if side else 0j
-    except OverflowError:
-        trig = complex(math.inf)  # beyond the double range: raised below
+        trig = 0j if not side or arg.real < -746.0 else cmath.exp(arg)
+    except (OverflowError, ValueError):  # it or its phase beyond the range
+        trig = complex(math.inf)  # raised below
 
     winv = 1.0 / w
+    rho = abs(winv)
     # effectively on the circle: fixed-term fallback with an explicit
     # remainder bound, reported honestly (no useful convergence rate there)
-    cap = max(10_000 if abs(winv) > 1.0 - 1e-5 else 300_000, int(abs(b)) + 16)
-    # folded, the tail runs from N + 1 after the fixed head m < N; at b = N
-    # it is (-1)^n w^-N Li_n(1/w), in closed form at n = 1
-    start = N + 1 if fold else 1
-    if fold and b == N:
+    cap = max(10_000 if rho > 1.0 - 1e-5 else 300_000,
+              int(min(2.0 * abs(0.5 * b), 1e15)) + 16)
+    # Folded, the sum over m != N is a fixed head m < J and, where J = N,
+    # the tail from N + 1 ((-1)^n w^-N Li_n(1/w) at b = N, closed-form at
+    # n = 1).  As |b - m| >= 1 - |b - N|, the terms from J on are at most
+    # rho^J / ((1 - rho) (1 - |b - N|)^n); J < N puts that below tol/2.
+    start, J = (N + 1, N) if fold else (1, 1)
+    if fold and rho < 1.0 and rho ** N < 0.5 * tol:
+        log_rest = -math.log1p(-rho) - n * math.log1p(-abs(b - N))
+        J = min(N, max(1, math.ceil((math.log(0.5 * tol) - log_rest)
+                                    / math.log(rho))))
+    if fold and J < N:
+        tail, bound, terms = 0j, math.exp(J * math.log(rho) + log_rest), 0
+    elif fold and b == N:
         tail, bound, terms = _polylog_sum(n, winv, 0.25 * tol)
         scale = (-1.0) ** n * w ** -N
         tail, bound = scale * tail, abs(scale) * bound
@@ -476,17 +505,19 @@ def _inverse(w, n, b, tol, method):
                                     0.5 * tol, 0.0)
         terms = j - start
     value = trig - tail
-    if start > 2:
-        head, rounding, _ = _power_sum(winv, b, -1, n, 1, N, 0.0, 0.0)
-        value, bound, terms = value - head, bound + rounding, terms + N - 1
+    if J > 1:
+        head, rounding, _ = _power_sum(winv, b, -1, n, 1, J, 0.0, 0.0)
+        value, bound, terms = value - head, bound + rounding, terms + J - 1
     if not (cmath.isfinite(trig) and cmath.isfinite(value)):
         raise BeyondDoubleRange(f"Phi({w}, {n}, {b}) is beyond the double "
                                 f"range (inverse-argument expansion: value "
                                 f"{value})")
     # on the circle with n = 1 the tail bound is infinite: a stall
     spread = (n + 1) * size / abs(cot) if cot else 0.0
-    err = bound + 5e-16 * (spread + abs(log_side) + abs(expo)) * abs(trig)
-    return certify(value, err, method, terms, tol)
+    if trig:  # |expo| may be beyond the double range: inf, not an error
+        bound += 5e-16 * (spread + abs(log_side)
+                          + 2.0 * abs(0.5 * expo)) * abs(trig)
+    return certify(value, bound, method, terms, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +598,7 @@ def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     which carries that route's result.  Non-finite z or a, and a tol that
     is not finite and positive, raise DomainError.
     """
-    z, a = _validate(z, n, a, tol)
-    require_off_nonpositive_poles(a)
+    z = complex(z)
     row = _ROUTE_TABLE[classify(z)]
     refused = stalled = None
     for name in row.routes:
@@ -580,6 +610,8 @@ def phi(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
             refused = exc
         except ToleranceNotMet as exc:
             stalled = stalled or exc
+    # every route checks the input first: checked here once none certified
+    _validate(z, n, a, tol)
     if stalled is not None:
         raise stalled
     if row.refusal:

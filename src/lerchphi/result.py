@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .errors import ToleranceNotMet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvalResult:
     """Value with an a-posteriori error estimate and work accounting.
 
@@ -24,6 +24,11 @@ class EvalResult:
     err_estimate: float
     method: str
     terms_or_nodes: int
+
+    def __init__(self, value, err_estimate, method, terms_or_nodes):
+        # one update of the instance dict, not four frozen setattr calls
+        self.__dict__.update(value=value, err_estimate=err_estimate,
+                             method=method, terms_or_nodes=terms_or_nodes)
 
 
 def certify(value: complex, err: float, method: str, work: int, tol: float,

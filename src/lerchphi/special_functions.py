@@ -14,7 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from math import ceil, exp, factorial, floor, fsum, hypot, inf, log, log1p
+from math import (ceil, exp, expm1, fabs, factorial, floor, fsum, hypot, inf,
+                  log, log1p)
 from operator import attrgetter
 
 from .errors import (
@@ -78,33 +79,23 @@ def require_off_nonpositive_poles(a: complex) -> None:
 # ---------------------------------------------------------------------------
 # Exactly rounded power sums
 
-def _first_below(c0: float, log_rho: float, p: int, h: float,
+def _first_below(g0: float, log_rho: float, p: int, h: float,
                  top: float) -> float:
-    """A point in [h, top] at or below the root of the convex, decreasing
-    F(w) = c0 + w log_rho - p log w, or top where F(top) > 0; the step count
-    of either part of the bound in _power_sum, where log_rho may be 0.
-
-    Newton's method: a tangent of a convex function lies below it, so a
-    step from anywhere lands at or below the root, and further steps climb
-    to it.  The first step starts from an upper bound of the root, where
-    the log or the linear term alone would reach 0; the iteration stops
-    once a step is under half an index."""
-    w = c0 / p
-    w = exp(w) if w < 700.0 else inf
-    if log_rho < 0.0:
-        linear = (c0 - p * log(h)) / -log_rho
-        if linear < w:
-            w = linear
-    w = min(max(w, h), top)  # a start below h puts the root below it
+    """A step count in [0, top] at or below the root of the convex,
+    decreasing G(m) = g0 + m log_rho - p log(1 + m/h), or top where
+    G(top) > 0.  Newton's method from an upper bound of the root, where the
+    log or the linear term alone reaches 0: a tangent of a convex function
+    lies below it, so every step lands at or below the root; it stops once
+    a step is under half an index."""
+    m = h * expm1(g0 / p) if g0 < 700.0 * p else inf
+    if log_rho < 0.0 and g0 < m * -log_rho:
+        m = g0 / -log_rho
+    m = top if m > top else m if m > 0.0 else 0.0
     while True:
-        step = (c0 + w * log_rho - p * log(w)) / (p / w - log_rho)
-        w += step
-        if w <= h:
-            return h
-        if w >= top:
-            return top
-        if -0.5 < step < 0.5:
-            return w
+        step = (g0 + m * log_rho - p * log1p(m / h)) / (p / (h + m) - log_rho)
+        m += step
+        if -0.5 < step < 0.5 or m <= 0.0 or m >= top:
+            return 0.0 if m <= 0.0 else top if m >= top else m
 
 
 def _power_sum(x: complex, c: complex, sign: int, n: int, k: int, cap: int,
@@ -113,8 +104,8 @@ def _power_sum(x: complex, c: complex, sign: int, n: int, k: int, cap: int,
     the terms' real parts and of their imaginary parts.
 
     The one summation kernel of the library: the series, the inverse-argument
-    tail, the polylogarithm and the fixed-count heads of the Hurwitz zeta,
-    integer-shift and shifted-integral sums.  With rho = |x| (1 on and
+    tail and head, the polylogarithm and the fixed-count heads of the
+    Hurwitz zeta and shifted-integral sums.  With rho = |x| (1 on and
     beyond the circle), u = j + sign Re c and D = min_{i>=j} |c + sign i|,
     the remainder from j on is at most
 
@@ -134,75 +125,68 @@ def _power_sum(x: complex, c: complex, sign: int, n: int, k: int, cap: int,
     at j = cap.
 
     The bound is checked only where it can first meet the target.  From a
-    check at j that it fails, the next one is at the first index whose
-    bound can be <= reach = max(t_abs, t_rel (|S_j| + bound)), the largest
-    target the partial sums can reach.  Each part of the bound is bounded
-    below by a function of the step count m whose log is convex,
-    rho^(j+m) / ((1 - rho) (D + m)^n) and the second part itself, and no
-    index before the first root of the two can meet reach (_first_below).
-    The terms between the checks are formed with no bound, branch or
-    compensation work.
+    failed check at j the next is at the first index whose bound can be
+    <= reach = max(t_abs, t_rel (|S_j| + bound)), the largest target the
+    partial sums can reach (_first_below): each part of the bound is bounded
+    below by a function of the step count m whose log is convex, the second
+    part itself and rho^(j+m) / ((1 - rho) (D + m)^n), this from the first
+    m with u + m >= 0, as D stays put before.  A relative target forms t_k
+    first and checks at k only where |t_k| <= 2 t_abs (the bound at k is at
+    least |t_k|): the first reach is then |t_k| plus the bound at k + 1, not
+    the bound at k, whose D can be far below the next.  A short sum so
+    makes one prediction and one passing check.
 
     Returns (S, estimate, j).  With no target, t_abs = t_rel = 0, S is the
     finite sum up to cap and the estimate its rounding term alone."""
     terms: list = []
-    keep = terms.append
-    j, s, power, bound, rounding = k, 0j, x ** k, 0.0, 0.0
-    stop = cap
-    if t_abs or t_rel:
-        stop = k
-        rho = abs(x)
-        shift, c_im = sign * c.real, c.imag
-        log_rho = (log(rho) if 0.0 < rho < 1.0 else _LOG_TINY if rho < 1.0
-                   else 0.0)
-        log_geo = -log1p(-rho) if rho < 1.0 else None
-        # from D >= (n - 1) / (1 - rho) on, the second part is at least the
-        # first and stays above the first's lower bound, as D >= u > u - 1;
-        # D never falls.  Where that is below 32 the second part could only
-        # end a sum of a few dozen terms a term or two early, which costs
-        # more in checks than it saves.
-        second_from = (0.0 if n == 1 else inf if log_geo is None
-                       else (n - 1) / (1.0 - rho))
-        if second_from < 32.0:
-            second_from = 0.0
-        log_alg = -log(n - 1) if n > 1 else 0.0
-        h = 0.0
+    power = x ** k
+    if not (t_abs or t_rel):  # a fixed count
+        _extend(terms, x, c, sign, n, k, cap, power)
+        return _fsum(terms), (n + 3) * 2.0**-53 * _abs_sum(terms), cap
+    rho = abs(x)
+    shift, c_im = sign * c.real, c.imag
+    if rho < 1.0:
+        log_rho = log(rho) if rho else _LOG_TINY
+        log_geo, limit = -log1p(-rho), (n - 1) / (1.0 - rho)
+    else:
+        log_rho, log_geo, limit = 0.0, inf, inf if n > 1 else 0.0
+    # from D >= limit on the second part is at least the first and stays
+    # above the first's lower bound, as D >= u > u - 1.  Below 32 it could
+    # only end a sum of a few dozen terms a term or two early.
+    limit, log_alg = (limit, -log(n - 1)) if limit >= 32.0 else (0.0, 0.0)
+    j, stop, s = k, k, 0j
+    if t_rel and k < cap:
+        try:
+            s = power / (c + sign * k) ** n
+        except (OverflowError, ZeroDivisionError):
+            s = 0j  # formed in the first block, after a check at k
+        if fabs(s.real) + fabs(s.imag) > 3.0 * t_abs:  # |t_k| > 2 t_abs
+            terms.append(s)
+            power *= x
+            j = stop = k + 1
+        else:
+            s = 0j
     while True:
         if j < stop:
-            try:
-                for i in range(sign * j, sign * stop, sign):
-                    keep(power / (c + i) ** n)
-                    power *= x
-            except (OverflowError, ZeroDivisionError):  # from i on, one by one
-                for i in range(i, sign * stop, sign):
-                    keep(_term(power, c + i, n))
-                    power *= x
+            power = _extend(terms, x, c, sign, n, j, stop, power)
             if t_rel:
-                s += sum(terms[j - k:])
+                s = sum(terms[j - k:], s)
             j = stop
-        if not (t_abs or t_rel):  # a fixed count
-            rounding = (n + 3) * 2.0**-53 * _abs_sum(terms)
-            break
         u = j + shift
-        log_b = inf
-        if log_geo is not None:
-            h = hypot(u if u >= 0.0 else u - round(u), c_im)
-            log_b = j * log_rho + log_geo - n * log(h)
-        if h >= second_from:
-            second_from = 0.0
-        elif u > 1.0 and (log_geo is None or (1.0 - rho) * h * (u + n - 2.0)
-                          < (n - 1) * (u - 1.0)):
+        h = hypot(u if u >= 0.0 else u - round(u), c_im)
+        log_b = log_first = j * log_rho + log_geo - n * log(h)
+        if h < limit and u > 1.0 and (1.0 - rho) * h * (u + n - 2.0) < (
+                n - 1) * (u - 1.0):
             # the second part can be below the first: by Bernoulli's
             # inequality their ratio is >= (1 - rho) D (u + n - 2) /
             # ((n - 1) (u - 1))
-            log_b = min(log_b,
-                        j * log_rho + log_alg - (n - 1) * log(u - 1.0))
+            log_b = min(log_b, j * log_rho + log_alg - (n - 1) * log(u - 1.0))
         bound = exp(log_b) if log_b < 709.0 else inf
         try:
             s_abs = abs(s)
         except OverflowError:  # |S| beyond the double range
             s_abs = inf
-        goal = max(t_abs, t_rel * s_abs)
+        goal = t_rel * s_abs if t_rel * s_abs > t_abs else t_abs
         if bound <= goal or j >= cap:
             rounding = (n + 3) * 2.0**-53 * _abs_sum(terms)
             if bound + rounding <= goal or bound <= rounding or j >= cap:
@@ -215,26 +199,60 @@ def _power_sum(x: complex, c: complex, sign: int, n: int, k: int, cap: int,
             continue
         # the first index whose bound can meet the largest target the
         # partial sums can reach; the margin covers the logs' rounding
-        log_reach = log(max(goal, t_rel * (s_abs + bound))) + 1e-9
+        reach = t_rel * (s_abs + bound)
+        log_reach = log(reach if reach > goal else goal) + 1e-9
         m = float(cap - j)
-        if log_geo is not None:  # the first part's lower bound
-            c0 = (j - h) * log_rho + log_geo - log_reach
-            m = _first_below(c0, log_rho, n, h, h + m) - h
-        if h < second_from:
-            # the second part, from the first step where it holds, unless
-            # it stays above reach up to m
+        if rho < 1.0:  # the first part's lower bound
+            g0, m0, d = log_first - log_reach, 0, h
+            if u < 0.0 and g0 > ceil(-u) * -log_rho and ceil(-u) < m:
+                # D stays h up to the first step m0 with u + m0 >= 0
+                m0 = ceil(-u)
+                d = hypot(u + m0, c_im)
+                g0 += m0 * log_rho - n * log(d / h)
+            m = m0 + _first_below(g0, log_rho, n, d, m - m0)
+        if h < limit:  # the second part, from the first step where it holds
             g = u - 1.0
             start = 0 if g > 0.0 else floor(-g) + 1
-            c0 = (j - g) * log_rho + log_alg - log_reach
-            if start < m and c0 + (g + m) * log_rho - (n - 1) * log(
-                    g + m) <= 0.0:
-                m = _first_below(c0, log_rho, n - 1, g + start, g + m) - g
-        stop = min(cap, j + (ceil(m - 1e-6) if m > 1.0 else 1))
+            if start < m:
+                g += start
+                m = start + _first_below(
+                    (j + start) * log_rho + log_alg - (n - 1) * log(g)
+                    - log_reach, log_rho, n - 1, g, m - start)
+        stop = j + ceil(m - 1e-6) if m > 1.0 else j + 1
+    return _fsum(terms), bound + rounding, j
+
+
+def _extend(terms: list, x: complex, c: complex, sign: int, n: int, j: int,
+            stop: int, power: complex) -> complex:
+    """Append x^i / (c + sign i)^n for i = j .. stop - 1 to terms in a plain
+    loop, power being x^j; returns x^stop.  Where (c + sign i)^n is beyond
+    the double range or underflows to 0 the term is formed from the
+    reciprocal (not with ** -n, NaN for complex bases and n <= 100), and is
+    inf where it is itself beyond the range."""
+    keep = terms.append
     try:
-        value = complex(fsum(map(_REAL, terms)), fsum(map(_IMAG, terms)))
-    except (OverflowError, ValueError):  # a part beyond the double range
-        value = complex(inf, inf)
-    return value, bound + rounding, j
+        for i in range(sign * j, sign * stop, sign):
+            keep(power / (c + i) ** n)
+            power *= x
+    except (OverflowError, ZeroDivisionError):  # from i on, one by one
+        for i in range(i, sign * stop, sign):
+            try:
+                keep(power / (c + i) ** n)
+            except (OverflowError, ZeroDivisionError):
+                try:
+                    keep(power * (1.0 / (c + i)) ** n)
+                except OverflowError:
+                    keep(complex(inf))
+            power *= x
+    return power
+
+
+def _fsum(terms: list) -> complex:
+    """The terms' exactly rounded sum, part by part; inf beyond the range."""
+    try:
+        return complex(fsum(map(_REAL, terms)), fsum(map(_IMAG, terms)))
+    except (OverflowError, ValueError):
+        return complex(inf, inf)
 
 
 def _abs_sum(terms: list) -> float:
@@ -246,19 +264,6 @@ def _abs_sum(terms: list) -> float:
     except (OverflowError, ValueError):
         return inf
     return total if total == total else inf
-
-
-def _term(power: complex, base: complex, n: int) -> complex:
-    """power / base^n, from the reciprocal where base^n is beyond the double
-    range or underflows to 0 (not base ** -n, which is NaN for complex base
-    and n <= 100); inf where the term itself is beyond the double range."""
-    try:
-        return power / base ** n
-    except (OverflowError, ZeroDivisionError):
-        try:
-            return power * (1.0 / base) ** n
-        except OverflowError:
-            return complex(inf)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +370,7 @@ def cot_pi_taylor(m: int, a: complex, shift: complex = 0j) -> list[complex]:
     if m < 0:
         raise ValueError("derivative order must be >= 0")
     a = complex(a)
-    if dist_to_nearest_integer(a) <= 1e-12:
+    if abs(a - round(a.real)) <= 1e-12:  # dist_to_nearest_integer(a)
         raise PoleAtInteger(f"cot(pi a) derivative requested at a = {a} (integer pole)")
     e = list(_cot_pi_seed(a))
     for j in range(1, m):

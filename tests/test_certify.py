@@ -56,17 +56,18 @@ class TestCertify:
         assert info.value.result == EvalResult(2j, 0.0, "integral", 12)
 
 
-def near_integer_points(seed, count):
+def near_integer_points(seed, count, deltas=(1e-7, 0.1)):
     """(z, n, a) outside the circle next to an integer shift: |z|
     log-uniform in [1.2, 20], |arg z| in [0.1, pi], n = 1..8, a = N + delta
-    with N = 1..4 and |delta| log-uniform in [1e-7, 0.1] in any direction."""
+    with N = 1..4 and |delta| log-uniform in deltas in any direction."""
     rng = random.Random(seed)
+    lo, hi = math.log10(deltas[0]), math.log10(deltas[1])
     points = []
     for _ in range(count):
         r = 10.0 ** rng.uniform(math.log10(1.2), math.log10(20.0))
         theta = rng.uniform(0.1, math.pi) * rng.choice((-1, 1))
         shift = rng.randint(1, 4)
-        delta = 10.0 ** rng.uniform(-7.0, -1.0) * cmath.exp(
+        delta = 10.0 ** rng.uniform(lo, hi) * cmath.exp(
             1j * rng.uniform(-math.pi, math.pi))
         points.append((r * cmath.exp(1j * theta), rng.randint(1, 8),
                        shift + delta))
@@ -78,6 +79,17 @@ def test_near_integer_shift_is_certified_or_raised():
     # result meets tol with its whole estimate, and the estimate bounds the
     # error
     for z, n, a in near_integer_points(0, 200):
+        res = phi(z, n, a, TOL)
+        assert res.method == "inverse", (z, n, a)
+        assert res.err_estimate <= TOL * max(1.0, abs(res.value)), (z, n, a)
+        ref = lerch_reference(z, n, a, dps=20)
+        assert abs(res.value - ref) <= res.err_estimate, (z, n, a)
+
+
+def test_fold_ring_is_certified():
+    # the fold runs to |a - N| = 0.25: its outer ring, where its Laurent
+    # sums are longest, certifies with estimates that bound the error
+    for z, n, a in near_integer_points(1, 80, deltas=(0.1, 0.25)):
         res = phi(z, n, a, TOL)
         assert res.method == "inverse", (z, n, a)
         assert res.err_estimate <= TOL * max(1.0, abs(res.value)), (z, n, a)

@@ -145,3 +145,27 @@ def test_inverse_checks_finiteness_before_abs(monkeypatch):
     monkeypatch.setattr(engine, "abs", leaky_abs, raising=False)
     with pytest.raises(BeyondDoubleRange, match="double range"):
         engine.phi_inverse(3j, 4, 0.3, TOL)
+
+
+@pytest.mark.parametrize("route, z, n, a", [
+    ("series", 0.5j, 2, -1e308 - 1e308j),
+    ("series", 0.7604771335719971 + 0.00018442177805493904j, 400,
+     -1e308 + 175.24754974369364j),
+    ("inverse", 5j, 2, 5e-324 + 1e308j),
+    ("inverse", 6.25991740746675e-06 + 220.93698475755232j, 2,
+     1.520715748111242e-05 - 1e308j),
+    ("integral", -30.94150272996955 + 1.1293974940661285e-05j, 3,
+     -1e308 + 414.7924094928766j),
+], ids=["series-cap", "series-cap-n400", "inverse-expo", "inverse-phase",
+        "integral-power"])
+def test_shift_at_the_edge_of_the_double_range(route, z, n, a):
+    # the route leaked OverflowError (abs of |a| or of |b log w| beyond the
+    # double range), ValueError (exp of an infinite phase) or
+    # ZeroDivisionError (the integral's z^k); it and phi now raise
+    # BeyondDoubleRange or DomainError, or certify
+    for call in (engine.phi, engine.ROUTES[route]):
+        try:
+            res = call(z, n, a, TOL)
+        except (BeyondDoubleRange, DomainError):
+            continue
+        assert res.err_estimate <= TOL * max(1.0, abs(res.value))

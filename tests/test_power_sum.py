@@ -8,17 +8,18 @@ value.
 """
 
 import cmath
+import itertools
 import math
 import random
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lerchphi.engine import phi, phi_integer_a, phi_inverse, phi_series
-from lerchphi.errors import ToleranceNotMet
+from lerchphi.errors import LerchError, ToleranceNotMet
 from lerchphi.special_functions import _polylog_sum, _power_sum, hurwitz_zeta
-from oracles import lerch_reference
+from oracles import lerch_reference, shifted_integral
 
 
 def true_remainder(x, c, sign, n, j):
@@ -118,6 +119,21 @@ def first_stop(x, c, sign, n, k, cap, t_abs, t_rel):
     return cap
 
 
+def plane_shapes(test):
+    """An @example for each caller shape at the orders, |x| and Re c of
+    everyday calls, where a sum is a few to a few hundred terms and the
+    kernel is tuned to make one prediction and one passing check; and one
+    with |c| < 1, where the bound at the first index is far above the
+    sum."""
+    for shape, n, rho, c_re in itertools.product(
+            sorted(SHAPES), range(1, 7), (0.3, 0.5, 0.9, 0.95),
+            (-2.5, 0.3, 2.9)):
+        test = example(shape=shape, n=n, rho=rho, theta=0.7, c_re=c_re,
+                       c_im=0.1, tol=1e-10, count=1)(test)
+    return example(shape="series", n=6, rho=0.5, theta=0.7, c_re=0.3,
+                   c_im=0.1, tol=1e-10, count=1)(test)
+
+
 @given(
     shape=st.sampled_from(sorted(SHAPES) + ["fixed"]),
     n=st.integers(min_value=1, max_value=8),
@@ -129,6 +145,7 @@ def first_stop(x, c, sign, n, k, cap, t_abs, t_rel):
     count=st.integers(min_value=1, max_value=40),
 )
 @settings(max_examples=60, deadline=None)
+@plane_shapes
 def test_stop_rule_and_exact_sum(shape, n, rho, theta, c_re, c_im, tol,
                                  count):
     """The kernel stops where a bound check at every index would, and its
@@ -206,6 +223,34 @@ def test_large_shift_work(z, n, a, ceiling):
     with mp.workdps(30):
         want = complex(mp.lerchphi(z, n, a))
     assert abs(res.value - want) <= res.err_estimate <= 1e-10
+
+
+@pytest.mark.parametrize("b, ceiling", [
+    # next to a large integer N the expansion summed m = 1 .. N - 1 as a
+    # fixed count: 999,999 terms at 1e6, past 4 s at 1e7, never done at 1e300
+    (1e6 + 0.01j, 14), (1e7 + 0.01j, 14), (1e300, 14), (1e6 + 0.2j, 15),
+], ids=["1e6", "1e7", "1e300", "1e6-ring"])
+def test_folded_head_work(b, ceiling):
+    res = phi(5j, 2, b, 1e-10)
+    assert res.method == "inverse"
+    assert res.terms_or_nodes <= ceiling
+    assert res.err_estimate <= 1e-10
+
+
+def test_folded_head_against_the_integral():
+    res = phi(5j, 2, 1e6 + 0.01j, 1e-10)
+    assert abs(res.value - shifted_integral(5j, 2, 1e6 + 0.01j)) <= (
+        res.err_estimate)
+
+
+def test_folded_head_at_a_huge_shift_and_order_returns():
+    # its fixed head never returned; (1e300 + 1.2e-4 i + i)^5 is NaN, not an
+    # OverflowError, so the head's terms are NaN and phi raises
+    try:
+        phi(6.719318283897684 + 0.007265274541275136j, 5,
+            1e300 + 0.00012201326340746419j, 1e-10)
+    except LerchError:
+        pass
 
 
 A = 0.3 + 0.1j
