@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import functools
 import itertools
-import json
 import math
 import os
 import random
 import sys
+
+# json and csv are imported by the output formats that write them: plain
+# output, the default of eval and compare, loads neither
 
 from . import engine, identities
 from .errors import DomainError, LerchError
@@ -110,9 +111,11 @@ def _result_json(res: EvalResult) -> dict:
 
 def _emit_eval(res: EvalResult, fmt: str, out) -> None:
     if fmt == "json":
+        import json
         rec = {**_result_json(res), "method": res.method}
         out.write(json.dumps(rec, sort_keys=True) + "\n")
     elif fmt == "csv":
+        import csv
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["value_re", "value_im", "err", "method",
                          "terms_or_nodes"])
@@ -155,6 +158,7 @@ def _cmd_compare(args) -> int:
     scale = max([1.0, *(abs(r.value) for r in certified)])
 
     if args.format == "json":
+        import json
         rec = {
             "methods": [{"method": name, **_result_json(res)}
                         for name, res in rows],
@@ -162,6 +166,7 @@ def _cmd_compare(args) -> int:
         }
         sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["method", "value_re", "value_im", "err",
                          "terms_or_nodes"])
@@ -299,6 +304,7 @@ _SUITES = {
 
 
 def _cmd_check(args) -> int:
+    import json
     rng = random.Random(args.seed)
     names = _SUITES if args.suite == "all" else (args.suite,)
     all_pass = True
@@ -313,6 +319,8 @@ def _cmd_check(args) -> int:
 # sweep
 
 def _cmd_sweep(args) -> int:
+    import csv
+    import json
     jsonl = args.format == "jsonl"
     out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     try:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from math import factorial, fabs
 from typing import NamedTuple
@@ -93,16 +92,15 @@ class Region(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class LerchQuery:
-    z: complex
-    n: int
-    a: complex
+class LerchQuery(NamedTuple("LerchQuery", [("z", complex), ("n", int),
+                                           ("a", complex)])):
+    """The point (z, n, a) of Phi: z and a complex, n a positive integer."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
-        object.__setattr__(self, "a", complex(self.a))
-        _validate_order(self.n)
+    __slots__ = ()
+
+    def __new__(cls, z, n, a):
+        _validate_order(n)
+        return super().__new__(cls, complex(z), n, complex(a))
 
 
 def _validate_order(n) -> None:
@@ -380,6 +378,9 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     # value, and so to a stall, where ** would raise.
     p = float(n - 1)
     big_a = a1 * t0
+    if not cmath.isfinite(big_a):
+        raise DomainError(f"principal-value route needs (a - 1) log(1/z) "
+                          f"within the double range, got a = {a}, z = {z}")
     shift = float(max(0, math.floor(-big_a.real) - 700))
     u0 = abs(t0)
     outer = math.prod([t0] * (n - 1)) * t0 / (u0 * z)
@@ -490,6 +491,11 @@ def _inverse(w, n, b, tol, method):
     # n = 1).  As |b - m| >= 1 - |b - N|, the terms from J on are at most
     # rho^J / ((1 - rho) (1 - |b - N|)^n); J < N puts that below tol/2.
     start, J = (N + 1, N) if fold else (1, 1)
+    if fold and rho > 1.0 and N * math.log(rho) > 709.0:
+        # |w| < 1 by at most 1e-12: w^-N and the tail's first power are
+        # beyond the double range
+        raise DomainError(f"inverse-argument expansion needs w^-N within "
+                          f"the double range, got w = {w}, N = {float(N):g}")
     if fold and rho < 1.0 and rho ** N < 0.5 * tol:
         log_rest = -math.log1p(-rho) - n * math.log1p(-abs(b - N))
         J = min(N, max(1, math.ceil((math.log(0.5 * tol) - log_rest)
@@ -626,7 +632,7 @@ def degrade(route, z: complex, n: int, a: complex, tol: float) -> EvalResult:
     try:
         return route(z, n, a, tol)
     except ToleranceNotMet as exc:
-        return replace(exc.result, method=exc.result.method + " (degraded)")
+        return exc.result._replace(method=exc.result.method + " (degraded)")
 
 
 # Every route by name, in the order compare reports them.  Each entry looks

@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, PoleOffRay, ToleranceNotMet
@@ -44,24 +43,25 @@ _X_MAX = {False: 4.5, True: 3.2}
 _MAX_NODES = 37_500
 
 
-@dataclass(frozen=True)
 class RayIntegrand:
     """Integrand on the ray arg(t) = ray_angle with |f(t)| <~ e^(-decay_rate |t|)
     up to a polynomial factor |t|^growth_degree.  exponent_rate is |c| when
     that decay comes from a factor e^(c t), whose value rounds with the
     argument c t; a principal value counts it in its rounding floor."""
 
-    evaluate: Callable[[complex], complex]
-    ray_angle: float
-    decay_rate: float
-    growth_degree: int = 0
-    exponent_rate: float = 0.0
+    __slots__ = ("evaluate", "ray_angle", "decay_rate", "growth_degree",
+                 "exponent_rate")
 
-    def __post_init__(self):
-        if not -math.pi / 2 < self.ray_angle < math.pi / 2:
+    def __init__(self, evaluate: Callable[[complex], complex],
+                 ray_angle: float, decay_rate: float, growth_degree: int = 0,
+                 exponent_rate: float = 0.0):
+        if not -math.pi / 2 < ray_angle < math.pi / 2:
             raise DomainError("ray angle must lie in (-pi/2, pi/2)")
-        if not self.decay_rate > 0:
+        if not decay_rate > 0:
             raise DomainError("decay rate must be positive")
+        self.evaluate, self.ray_angle, self.decay_rate = (
+            evaluate, ray_angle, decay_rate)
+        self.growth_degree, self.exponent_rate = growth_degree, exponent_rate
 
 
 def _node(tanh_sinh: bool, x: float):

@@ -4,13 +4,12 @@ and the one rule by which a route certifies it."""
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ToleranceNotMet
 
 
-@dataclass(frozen=True, init=False)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Value with an a-posteriori error estimate and work accounting.
 
     ``err_estimate`` is absolute.  Routes target the mixed criterion
@@ -24,11 +23,6 @@ class EvalResult:
     err_estimate: float
     method: str
     terms_or_nodes: int
-
-    def __init__(self, value, err_estimate, method, terms_or_nodes):
-        # one update of the instance dict, not four frozen setattr calls
-        self.__dict__.update(value=value, err_estimate=err_estimate,
-                             method=method, terms_or_nodes=terms_or_nodes)
 
 
 def certify(value: complex, err: float, method: str, work: int, tol: float,

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from math import (ceil, exp, expm1, fabs, factorial, floor, fsum, hypot, inf,
-                  log, log1p)
+                  log, log1p, nan)
 from operator import attrgetter
 
 from .errors import (
@@ -142,7 +141,10 @@ def _power_sum(x: complex, c: complex, sign: int, n: int, k: int, cap: int,
     power = x ** k
     if not (t_abs or t_rel):  # a fixed count
         _extend(terms, x, c, sign, n, k, cap, power)
-        return _fsum(terms), (n + 3) * 2.0**-53 * _abs_sum(terms), cap
+        value = _fsum(terms)
+        if value != value:  # a NaN term (_extend)
+            value, terms = _checked_sum(x, c, sign, n, k, cap)
+        return value, (n + 3) * 2.0**-53 * _abs_sum(terms), cap
     rho = abs(x)
     shift, c_im = sign * c.real, c.imag
     if rho < 1.0:
@@ -219,32 +221,62 @@ def _power_sum(x: complex, c: complex, sign: int, n: int, k: int, cap: int,
                     (j + start) * log_rho + log_alg - (n - 1) * log(g)
                     - log_reach, log_rho, n - 1, g, m - start)
         stop = j + ceil(m - 1e-6) if m > 1.0 else j + 1
-    return _fsum(terms), bound + rounding, j
+    value = _fsum(terms)
+    if value != value:  # a NaN term, whose inf rounding term let j stop at
+        # the first check where the bound met the goal
+        value, terms = _checked_sum(x, c, sign, n, k, j)
+        rounding = (n + 3) * 2.0**-53 * _abs_sum(terms)
+    return value, bound + rounding, j
 
 
 def _extend(terms: list, x: complex, c: complex, sign: int, n: int, j: int,
             stop: int, power: complex) -> complex:
     """Append x^i / (c + sign i)^n for i = j .. stop - 1 to terms in a plain
-    loop, power being x^j; returns x^stop.  Where (c + sign i)^n is beyond
-    the double range or underflows to 0 the term is formed from the
-    reciprocal (not with ** -n, NaN for complex bases and n <= 100), and is
-    inf where it is itself beyond the range."""
+    loop, power being x^j; returns x^stop.  From the first term whose **
+    raises on, _extend_checked forms the terms.  A NaN term, which ** can
+    return without raising, is left to _power_sum, whose exact sum shows
+    it."""
     keep = terms.append
     try:
         for i in range(sign * j, sign * stop, sign):
             keep(power / (c + i) ** n)
             power *= x
-    except (OverflowError, ZeroDivisionError):  # from i on, one by one
-        for i in range(i, sign * stop, sign):
-            try:
-                keep(power / (c + i) ** n)
-            except (OverflowError, ZeroDivisionError):
-                try:
-                    keep(power * (1.0 / (c + i)) ** n)
-                except OverflowError:
-                    keep(complex(inf))
-            power *= x
+    except (OverflowError, ZeroDivisionError):
+        return _extend_checked(terms, x, c, sign, n, i, stop, power)
     return power
+
+
+def _extend_checked(terms: list, x: complex, c: complex, sign: int, n: int,
+                    i: int, stop: int, power: complex) -> complex:
+    """_extend from the signed index i on, one term at a time.  Where the
+    power (c + i)^n is beyond the double range or underflows to 0, the term
+    is formed from the reciprocal (not with ** -n, NaN for complex bases and
+    n <= 100), and is inf where it is itself beyond the range.  The power
+    can also come out NaN, not raise: for 2 <= n <= 100 ** squares the
+    base, and one part of a square can overflow first."""
+    keep = terms.append
+    for i in range(i, sign * stop, sign):
+        try:
+            term = power / (c + i) ** n
+        except (OverflowError, ZeroDivisionError):
+            term = complex(nan)
+        if term != term:
+            try:
+                term = power * (1.0 / (c + i)) ** n
+            except OverflowError:
+                term = complex(inf)
+        keep(term)
+        power *= x
+    return power
+
+
+def _checked_sum(x: complex, c: complex, sign: int, n: int, k: int,
+                 stop: int):
+    """(S, terms) of _power_sum's terms i = k .. stop - 1 formed by
+    _extend_checked: where the plain loop left a NaN term."""
+    terms: list = []
+    _extend_checked(terms, x, c, sign, n, sign * k, stop, x ** k)
+    return _fsum(terms), terms
 
 
 def _fsum(terms: list) -> complex:
@@ -267,14 +299,19 @@ def _abs_sum(terms: list) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers (exact rationals)
+# Bernoulli numbers (exact rationals; fractions is imported on first use)
 
 _bernoulli_cache: list[Fraction] = []
+
+# B_2, B_4, ..., B_10 for the Euler-Maclaurin tail of _hurwitz_zeta_sum;
+# each quotient is correctly rounded, so equal to float(bernoulli(2k))
+_BERNOULLI_2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)
 
 
 def _grow_bernoulli_cache(n: int) -> None:
     # Akiyama-Tanigawa triangle; it yields B_1 = +1/2, flipped below to the
     # B_1 = -1/2 convention (only |B_{2n}| is consumed downstream anyway).
+    from fractions import Fraction
     row: list[Fraction] = []
     out: list[Fraction] = []
     for m in range(n + 1):
@@ -302,7 +339,7 @@ def tan_series_coeff(n: int) -> Fraction:
     if n < 1:
         raise ValueError("tangent-series index must be >= 1")
     p = 2 ** (2 * n)
-    return Fraction(p * (p - 1)) * abs(bernoulli(2 * n)) / factorial(2 * n)
+    return p * (p - 1) * abs(bernoulli(2 * n)) / factorial(2 * n)
 
 
 # Laurent coefficients of cot(pi eps) about 0: _cot_laurent[j + 1] = c_j,
@@ -460,10 +497,10 @@ def _hurwitz_zeta_sum(n: int, a: complex):
     for k in (1, 2, 3, 4):
         # rising factorial n (n+1) ... (n + 2k - 2)
         rising *= (n + 2 * (k - 1) - 1) * (n + 2 * (k - 1)) if k > 1 else n
-        tail += float(bernoulli(2 * k)) / factorial(2 * k) * rising * power
+        tail += _BERNOULLI_2K[k - 1] / factorial(2 * k) * rising * power
         power *= xinv * xinv
     rising *= (n + 7) * (n + 8)
-    err = abs(float(bernoulli(10)) / factorial(10) * rising * power)
+    err = abs(_BERNOULLI_2K[4] / factorial(10) * rising * power)
     return head + tail, err + 1e-15 * abs(head), m_terms
 
 

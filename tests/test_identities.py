@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -118,7 +117,7 @@ def test_a_stall_gives_its_carried_value(monkeypatch):
     # so a record fails by its residual and no ToleranceNotMet escapes
     def stalling_phi(z, n, a, tol):
         res = phi(z, n, a, 1e-10)
-        raise ToleranceNotMet("stalled", replace(res, err_estimate=math.inf))
+        raise ToleranceNotMet("stalled", res._replace(err_estimate=math.inf))
 
     monkeypatch.setattr(identities, "phi", stalling_phi)
     assert residual_symmetry(0.5j, 1, 0.3) <= 1e-9

@@ -169,3 +169,37 @@ def test_shift_at_the_edge_of_the_double_range(route, z, n, a):
         except (BeyondDoubleRange, DomainError):
             continue
         assert res.err_estimate <= TOL * max(1.0, abs(res.value))
+
+
+NEAR_CIRCLE = (1.0 - 1e-13) * cmath.exp(0.7j)
+
+
+@pytest.mark.parametrize("route, z, n, a", [
+    ("inverse", 6.719318283897684 + 0.007265274541275136j, 5,
+     1e300 + 0.00012201326340746419j),
+    ("pv", 0.5j, 2, -1e308 - 1e308j),
+    ("inverse", NEAR_CIRCLE, 2, 1e300),
+    ("inverse", NEAR_CIRCLE, 2, 1e300 + 0.1j),
+], ids=["kernel-nan", "pv-exponent",
+        "inverse-closed-tail", "inverse-kernel-power"])
+def test_huge_shift_returns_zero_or_refuses(route, z, n, a):
+    # |Phi| is below the double range at each point.  (c + i)^n of the
+    # kernel's terms came out NaN (** squares the base), pv's exponent
+    # (a - 1) log(1/z) and inverse's w^-N (|w| < 1) leaked OverflowError;
+    # phi now certifies 0 and the route certifies or refuses
+    res = engine.phi(z, n, a, TOL)
+    assert res.value == 0 and res.err_estimate <= TOL
+    try:
+        res = engine.ROUTES[route](z, n, a, TOL)
+    except DomainError:
+        return
+    assert res.value == 0 and res.err_estimate <= TOL
+
+
+def test_compare_skips_a_route_whose_exponent_overflows(capsys):
+    # pv's exponent (a - 1) log(1/z) is beyond the double range; compare
+    # printed the OverflowError's traceback
+    assert cli.main(["compare", "--z", "0,0.5", "--n", "2",
+                     "--a=-1e308,-1e308"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("series ") and "pv" not in out

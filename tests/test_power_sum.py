@@ -312,3 +312,23 @@ def test_series_terms_beyond_double_range(a):
     res = phi(0.5, 100, a)
     assert res.method == "series"
     assert abs(res.value - want) <= res.err_estimate
+
+
+@pytest.mark.parametrize("n, c", [
+    (5, 1e300 + 0.00012j),
+    (2, 2.002420589845403e+154 + 2.2537357393155592e+154j),
+    (4, -2.0470699268575803e+76 + 2.4245956639514945e+77j),
+    (8, 9.180468832275063e+38 - 5.712512661657757e+38j),
+])
+@pytest.mark.parametrize("shape", ["series", "inverse"])
+def test_terms_whose_squares_overflow(shape, n, c):
+    # for n <= 100, ** forms (c + k)^n by squaring and returns NaN, not
+    # OverflowError, where a square overflows in one part first; those terms
+    # are formed from their reciprocals
+    sign, k = SHAPES[shape]
+    with mp.workdps(30):
+        want = complex(mp.fsum(mp.mpf(0.5) ** m / (mp.mpc(c) + sign * m) ** n
+                               for m in range(k, 40)))
+    value, rounding, _ = _power_sum(0.5, c, sign, n, k, 40, 0.0, 0.0)
+    assert abs(value - want) <= 1e-14 * abs(want) + 1e-323
+    assert rounding < 1e-300

@@ -16,6 +16,7 @@ from lerchphi.errors import (
     PoleAtNonPositiveInteger,
 )
 from lerchphi.special_functions import (
+    _BERNOULLI_2K,
     _cot_pi_laurent,
     bernoulli,
     cot_pi,
@@ -66,6 +67,11 @@ class TestBernoulli:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             bernoulli(-1)
+
+    def test_float_table_is_the_rounded_exact_values(self):
+        # the Euler-Maclaurin tail of zeta(n, a) reads B_2 .. B_10 as floats
+        assert _BERNOULLI_2K == tuple(
+            float(bernoulli(2 * k)) for k in range(1, 6))
 
     def test_half_integer_power_sum_identity(self):
         # (2 pi)^2 (2^2 - 1)/2! |B_2| = pi^2 equals the direct summation
