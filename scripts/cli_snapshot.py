@@ -144,6 +144,15 @@ def commands():
         ("eval-near-integer-next-to-cut",
          ["eval", "--z", "1.5179296702451195,0.008648785460432244",
           "--n", "6", "--a=1.925577893870142,-0.09858362274525723"]),
+        # pv where the terms of its cot sum are 106 times their sum, and
+        # inverse next to a large integer, where it refuses a head of 2e6
+        # terms
+        ("eval-pv-cancellation",
+         ["eval", "--z=-0.07710380204887377,0.09044325579190272", "--n", "14",
+          "--a=-2.877013614439976,0.7607945100200548", "--method", "pv"]),
+        ("eval-inverse-long-head",
+         ["eval", "--z", "0.7648437169688631,0.6442189756730655", "--n", "2",
+          "--a", "2e6,0", "--method", "inverse"]),
         ("sweep-empty", ["sweep", "--abs-z", "0.2:0.8:0", "--arg-z", "0:1:2",
                          "--a-re", "0.5:0.5:1", "--a-im", "0:0:1", "--n", "2",
                          "--out", "-"]),

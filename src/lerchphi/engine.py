@@ -13,8 +13,8 @@ certified value or raises.
 
 The trigonometric side of the symmetry relation, in pv, inverse and
 symmetry_transform, is one quantity, a Taylor coefficient of e^(eps L)
-(cot(pi (a + eps)) + const), taken by the one helper _cot_term; no
-trigonometric term forms (n-1)!.
+(cot(pi (a + eps)) + const), taken by _cot_term and scaled by z^-a, with its
+rounding, by _trig_side; no trigonometric term forms (n-1)!.
 """
 
 from __future__ import annotations
@@ -70,6 +70,9 @@ _AXIS_RTOL = 1e-14
 # its cot pole into the tail term m = N; beyond it their cancellation,
 # about |b - N|^-n, no longer stalls the plain sum at tol 1e-10.
 _FOLD_RADIUS = 0.25
+
+# The integral's shift head and inverse's folded head: longer ones are refused
+_MAX_HEAD = 300_000
 
 # The integral route refuses z whose pole log z lies nearer than this to its
 # path [0, oo): next to the path a DE level sequence can contract early and
@@ -141,11 +144,6 @@ def _exterior_log(w: complex, route: str):
     return log_w, 1 if cmath.phase(log_w) > 0 else -1
 
 
-def _cpow(base: complex, expo: complex) -> complex:
-    """Principal-branch power exp(expo * Log base)."""
-    return cmath.exp(expo * cmath.log(base))
-
-
 def _quadrature_scale(n: int, route: str) -> float:
     """float((n-1)!), which the quadrature routes divide by; DomainError for
     n >= 172, where it is beyond the double range."""
@@ -171,6 +169,28 @@ def _cot_term(n: int, L: complex, coeffs):
         size += fabs(term.real) + fabs(term.imag)
         power = power * L / (k + 1)
     return total, size
+
+
+def _trig_side(cot, size, scale, n, expo):
+    """(scale cot e^expo, its rounding) for (cot, size) from _cot_term, as one
+    exponential: e^expo alone may be beyond the double range where the
+    product is not.  0 below e^-746, whatever its phase; (inf, inf) where it,
+    its modulus or its phase is beyond the range.  The rounding counts cot's
+    cancellation, size/|cot|, and the exponent's parts (|expo| as 2|expo/2|);
+    it is formed only for a finite value: abs() of a NaN part can raise."""
+    side = scale * cot
+    log_side = cmath.log(side) if side else 0j
+    arg = log_side + expo
+    if not side or arg.real < -746.0:
+        return 0j, 0.0
+    try:
+        value = cmath.exp(arg)
+        if not cmath.isfinite(value):
+            return value, math.inf
+        return value, 5e-16 * ((n + 1) * size / abs(cot) + abs(log_side)
+                               + 2.0 * abs(0.5 * expo)) * abs(value)
+    except (OverflowError, ValueError):
+        return complex(math.inf), math.inf
 
 
 def _fold_side(n: int, L: complex, eps: complex, sgn: int):
@@ -297,8 +317,8 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
                 f"distance {clearance:.3g}"
             )
     k = max(0, math.ceil(1.0 - a.real))
-    if k > 300_000:  # the head is a fixed count of k terms
-        raise DomainError(f"integral route shifts a at most 300000, got {a}")
+    if k > _MAX_HEAD:  # the head is a fixed count of k terms
+        raise DomainError(f"integral route shifts a at most {_MAX_HEAD}, got {a}")
     b = a + k
 
     if n == 1:
@@ -417,14 +437,15 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
         pv, stall = pv_integrate_ray(ray, t0, fold, tol, tail=tail), None
     except ToleranceNotMet as exc:
         pv, stall = exc.result, exc
-    trig = math.pi * _cpow(z, -a) * _cot_term(n, t0, cot_pi_taylor(n - 1, a))[0]
+    trig, rounding = _trig_side(*_cot_term(n, t0, cot_pi_taylor(n - 1, a)),
+                                math.pi, n, a * t0)
     value = (-1.0) ** (n - 1) * (pv.value / g + trig)
     if not cmath.isfinite(trig) or (stall is None and not cmath.isfinite(value)):
         raise BeyondDoubleRange(
             f"Phi({z}, {n}, {a}) is beyond the double range (principal-value "
             f"route: value {value})"
         )
-    err = pv.err_estimate / g + 5e-16 * (n + 1) * abs(trig)
+    err = pv.err_estimate / g + rounding
     result = EvalResult(value, err, "pv", pv.terms_or_nodes)
     # The one route that does not end in certify: its quadrature's target
     # is scaled by the principal-value integral alone, not by |value|, so
@@ -448,7 +469,7 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
     tail term m = N, which cancel, are summed as one: w^-b _fold_side(n,
     log w, b - N, sgn(phi)).  The tail meets the absolute target tol/2, as
     the first term may cancel most of it; the estimate adds that term's
-    rounding, relative to its terms' moduli and its exponent's parts."""
+    rounding.  A folded head longer than _MAX_HEAD terms is refused."""
     return _inverse(w, n, b, tol, "inverse")
 
 
@@ -469,16 +490,8 @@ def _inverse(w, n, b, tol, method):
                           f"integer N >= 1, got a = {b}")
     cot, size = (_fold_side(n, log_w, b - N, sgn) if fold else
                  _cot_term(n, log_w, cot_pi_taylor(n - 1, -b, -sgn * 1j)))
-    side = cot if fold else -math.pi * cot
-    # side w^-b as one exponential: at large |Im b| w^-b alone may be beyond
-    # the double range where the product, its cot side small, is not; below
-    # e^-746 it is 0, whatever its phase
-    log_side, expo = (cmath.log(side) if side else 0j), b * log_w
-    arg = log_side - expo
-    try:
-        trig = 0j if not side or arg.real < -746.0 else cmath.exp(arg)
-    except (OverflowError, ValueError):  # it or its phase beyond the range
-        trig = complex(math.inf)  # raised below
+    trig, trig_err = _trig_side(cot, size, 1.0 if fold else -math.pi, n,
+                                -b * log_w)
 
     winv = 1.0 / w
     rho = abs(winv)
@@ -491,15 +504,13 @@ def _inverse(w, n, b, tol, method):
     # n = 1).  As |b - m| >= 1 - |b - N|, the terms from J on are at most
     # rho^J / ((1 - rho) (1 - |b - N|)^n); J < N puts that below tol/2.
     start, J = (N + 1, N) if fold else (1, 1)
-    if fold and rho > 1.0 and N * math.log(rho) > 709.0:
-        # |w| < 1 by at most 1e-12: w^-N and the tail's first power are
-        # beyond the double range
-        raise DomainError(f"inverse-argument expansion needs w^-N within "
-                          f"the double range, got w = {w}, N = {float(N):g}")
     if fold and rho < 1.0 and rho ** N < 0.5 * tol:
         log_rest = -math.log1p(-rho) - n * math.log1p(-abs(b - N))
         J = min(N, max(1, math.ceil((math.log(0.5 * tol) - log_rest)
                                     / math.log(rho))))
+    if J - 1 > _MAX_HEAD:  # so also where |w| < 1 and w^-N is beyond range
+        raise DomainError(f"inverse-argument expansion sums a head of at most "
+                          f"{_MAX_HEAD} terms, got w = {w}, b = {b}")
     if fold and J < N:
         tail, bound, terms = 0j, math.exp(J * math.log(rho) + log_rest), 0
     elif fold and b == N:
@@ -519,11 +530,7 @@ def _inverse(w, n, b, tol, method):
                                 f"range (inverse-argument expansion: value "
                                 f"{value})")
     # on the circle with n = 1 the tail bound is infinite: a stall
-    spread = (n + 1) * size / abs(cot) if cot else 0.0
-    if trig:  # |expo| may be beyond the double range: inf, not an error
-        bound += 5e-16 * (spread + abs(log_side)
-                          + 2.0 * abs(0.5 * expo)) * abs(trig)
-    return certify(value, bound, method, terms, tol)
+    return certify(value, bound + trig_err, method, terms, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +556,8 @@ def symmetry_transform(z: complex, n: int, a: complex):
         raise PoleAtInteger(f"symmetry relation has poles at integer a = {a}")
     t0 = -cmath.log(z)
     sgn = 1 if cmath.phase(t0) > 0 else -1
-    trig = (math.pi * (-1.0) ** (n - 1) * _cpow(z, -a)
-            * _cot_term(n, t0, cot_pi_taylor(n - 1, a, -sgn * 1j))[0])
+    cot, size = _cot_term(n, t0, cot_pi_taylor(n - 1, a, -sgn * 1j))
+    trig, _ = _trig_side(cot, size, math.pi * (-1.0) ** (n - 1), n, a * t0)
     return LerchQuery(1.0 / z, n, 1.0 - a), trig
 
 

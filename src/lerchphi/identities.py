@@ -120,7 +120,7 @@ def residual_symmetry(z, n, a, tol: float = 1e-9) -> float:
     return abs(v1 + (-1.0) ** n / z * v2 - trig)
 
 
-def residual_hurwitz_reflection(n, a, tol: float = 1e-9) -> float:
+def residual_hurwitz_reflection(n, a) -> float:
     """|zeta(n,a) + (-1)^n zeta(n,1-a) - (-1)^(n-1) pi/(n-1)! d^(n-1) cot(pi a)|."""
     a = complex(a)
     left = hurwitz_zeta(n, a) + (-1.0) ** n * hurwitz_zeta(n, 1.0 - a)
@@ -133,7 +133,7 @@ def residual_hurwitz_reflection(n, a, tol: float = 1e-9) -> float:
     return abs(left - right)
 
 
-def residual_polygamma_reflection(m, a, tol: float = 1e-9) -> float:
+def residual_polygamma_reflection(m, a) -> float:
     """|psi^(m)(a) - (-1)^m psi^(m)(1-a) + pi d^m/da^m cot(pi a)|."""
     a = complex(a)
     left = polygamma(m, a) - (-1.0) ** m * polygamma(m, 1.0 - a)

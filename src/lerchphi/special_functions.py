@@ -450,7 +450,9 @@ def _polylog_sum(n: int, x: complex, tol: float):
     """
     x = complex(x)
     if n == 1:
-        return -cmath.log(1.0 - x), 4e-16 * abs(cmath.log(1.0 - x)) + 1e-300, 1
+        # 1 - x rounds by up to 2^-53, and its log by 4e-16 of itself
+        log1x = cmath.log(1.0 - x)
+        return -log1x, 4e-16 * abs(log1x) + 2.0**-53, 1
     cap = 300_000 if abs(x) < 1.0 else 10_000
     value, bound, j = _power_sum(x, 0.0, 1, n, 1, cap + 1, tol, tol)
     return value, bound, j - 1
@@ -481,14 +483,15 @@ def _hurwitz_zeta_sum(n: int, a: complex):
     """zeta(n, a) by direct summation plus Euler-Maclaurin tail.
 
     Returns (value, err_estimate, terms).  Uses M = max(20, ceil|a| + 20)
-    explicit terms and four Bernoulli corrections.
+    explicit terms and four Bernoulli corrections; the estimate is the fifth
+    correction plus the explicit terms' rounding, as _power_sum gives it.
     """
     if n < 2:
         raise DomainError("hurwitz_zeta needs integer order n >= 2")
     a = complex(a)
     require_off_nonpositive_poles(a)
     m_terms = max(20, math.ceil(abs(a)) + 20)
-    head, _, _ = _power_sum(1.0, a, 1, n, 0, m_terms, 0.0, 0.0)
+    head, rounding, _ = _power_sum(1.0, a, 1, n, 0, m_terms, 0.0, 0.0)
     x = a + m_terms
     xinv = 1.0 / x
     tail = x ** (1 - n) / (n - 1) + 0.5 * x ** (-n)
@@ -501,7 +504,7 @@ def _hurwitz_zeta_sum(n: int, a: complex):
         power *= xinv * xinv
     rising *= (n + 7) * (n + 8)
     err = abs(_BERNOULLI_2K[4] / factorial(10) * rising * power)
-    return head + tail, err + 1e-15 * abs(head), m_terms
+    return head + tail, err + rounding, m_terms
 
 
 def hurwitz_zeta(n: int, a: complex) -> complex:

@@ -207,6 +207,15 @@ class TestPhiPV:
         with pytest.raises(PoleAtInteger):
             phi_pv(0.5, 2, 1.0 + 0j)  # positive-integer cot pole
 
+    def test_estimate_counts_the_cancellation_of_the_cot_sum(self):
+        # the trigonometric side's 14 terms have moduli 106 times their sum;
+        # a rounding of 5e-16 (n + 1) |trig| missed the error (5.9e-16
+        # against an estimate of 4.8e-16)
+        z = -0.07710380204887377 + 0.09044325579190272j
+        a = -2.877013614439976 + 0.7607945100200548j
+        res = phi_pv(z, 14, a)
+        assert abs(res.value - lerch_reference(z, 14, a, 40)) <= res.err_estimate
+
     def test_runtime_budget(self):
         import time
 

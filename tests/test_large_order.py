@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from lerchphi import cli, engine
+from lerchphi import cli, engine, identities
 from lerchphi.errors import (
     BeyondDoubleRange,
     DomainError,
@@ -156,11 +156,14 @@ def test_inverse_checks_finiteness_before_abs(monkeypatch):
      1.520715748111242e-05 - 1e308j),
     ("integral", -30.94150272996955 + 1.1293974940661285e-05j, 3,
      -1e308 + 414.7924094928766j),
+    ("inverse", 16 * cmath.exp(0.9j * math.pi), 1,
+     -255.724 + 0.3j),
 ], ids=["series-cap", "series-cap-n400", "inverse-expo", "inverse-phase",
-        "integral-power"])
+        "integral-power", "inverse-modulus"])
 def test_shift_at_the_edge_of_the_double_range(route, z, n, a):
-    # the route leaked OverflowError (abs of |a| or of |b log w| beyond the
-    # double range), ValueError (exp of an infinite phase) or
+    # the route leaked OverflowError (abs of |a|, of |b log w| or of a trig
+    # term with finite parts, each beyond the double range),
+    # ValueError (exp of an infinite phase) or
     # ZeroDivisionError (the integral's z^k); it and phi now raise
     # BeyondDoubleRange or DomainError, or certify
     for call in (engine.phi, engine.ROUTES[route]):
@@ -194,6 +197,30 @@ def test_huge_shift_returns_zero_or_refuses(route, z, n, a):
     except DomainError:
         return
     assert res.value == 0 and res.err_estimate <= TOL
+
+
+def test_long_folded_head_is_refused():
+    # next to a large integer N where rho^N >= tol/2 the folded head ran
+    # N - 1 terms: 2e6 of them before the integral certified the first
+    # point, and the second, |w| < 1, never returned
+    z = (1 + 2e-6) * cmath.exp(0.7j)
+    with pytest.raises(DomainError, match="head of at most 300000"):
+        engine.phi_inverse(z, 2, 2e6, TOL)
+    res = engine.phi(z, 2, 2e6, TOL)
+    assert res.method == "integral"
+    with pytest.raises(DomainError, match="head of at most 300000"):
+        engine.phi_inverse(NEAR_CIRCLE, 2, 7e14, TOL)
+
+
+def test_symmetry_side_beyond_the_range_of_its_power():
+    # |z^-a| = e^800 at a = 0.5 + 400i, where cot(pi a) - sgn(phi) i is
+    # e^-2513 small: the product, formed as one exponential, is 0; at
+    # 0.5 - 400i z^-a is e^-800 small
+    z = 0.5 * cmath.exp(2j)
+    for a in (0.5 + 400j, 0.5 - 400j):
+        _, trig = engine.symmetry_transform(z, 2, a)
+        assert cmath.isfinite(trig)
+        assert math.isfinite(identities.residual_symmetry(z, 2, a))
 
 
 def test_compare_skips_a_route_whose_exponent_overflows(capsys):

@@ -18,7 +18,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from lerchphi.engine import phi, phi_integer_a, phi_inverse, phi_series
 from lerchphi.errors import LerchError, ToleranceNotMet
-from lerchphi.special_functions import _polylog_sum, _power_sum, hurwitz_zeta
+from lerchphi.special_functions import (
+    _hurwitz_zeta_sum,
+    _polylog_sum,
+    _power_sum,
+    hurwitz_zeta,
+)
 from oracles import lerch_reference, shifted_integral
 
 
@@ -294,6 +299,39 @@ def test_hurwitz_zeta_large_order():
     with mp.workdps(30):
         want = complex(mp.zeta(300, 0.5))
     assert abs(hurwitz_zeta(300, 0.5) - want) <= 1e-14 * abs(want)
+
+
+def test_hurwitz_zeta_estimate_counts_the_rounding():
+    # with Re a down to -120 the explicit terms, up to 141 of them, pass the
+    # poles and their sum cancels: a rounding term relative to the sum
+    # (1e-15 |sum|) missed 5 of these 40 points by up to 23x.  The
+    # reference steps past the poles with a 60-digit sum, as mpmath.zeta
+    # alone is off at some of these points.
+    rng = random.Random(8)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        a = complex(rng.uniform(-120.0, 5.0), rng.uniform(-15.0, 15.0))
+        k = max(0, math.ceil(1.0 - a.real))
+        with mp.workdps(60):
+            c = mp.mpc(a)
+            want = complex(mp.fsum((c + m) ** -n for m in range(k))
+                           + mp.zeta(n, c + k))
+        value, err, _ = _hurwitz_zeta_sum(n, a)
+        assert abs(value - want) <= err, (n, a)
+
+
+def test_li1_estimate_counts_the_rounding_of_one_minus_x():
+    # 1 - x rounds by up to 2^-53, which at small |x| is far above the
+    # closed form's own rounding, 4e-16 |log(1 - x)|
+    rng = random.Random(1)
+    for _ in range(200):
+        x = cmath.rect(10.0 ** rng.uniform(-20.0, -1.0),
+                       rng.uniform(-math.pi, math.pi))
+        with mp.workdps(40):
+            want = complex(-mp.log(1 - mp.mpc(x)))
+        value, err, terms = _polylog_sum(1, x, 1e-10)
+        assert terms == 1
+        assert abs(value - want) <= err, x
 
 
 @pytest.mark.parametrize("a", [2000.0, 1203.0, 1000.5, 1000.5 + 3j])
