@@ -153,6 +153,14 @@ def commands():
         ("eval-inverse-long-head",
          ["eval", "--z", "0.7648437169688631,0.6442189756730655", "--n", "2",
           "--a", "2e6,0", "--method", "inverse"]),
+        # at |z| = 1 - 2e-6 the series' bound meets tol only past the term
+        # ceiling, and the integral certifies; at z = 1 the Hurwitz sum's
+        # ceil|a| + 20 terms pass the ceiling
+        ("eval-near-circle-in",
+         ["eval", "--z", "0.764840657600114,0.6442163988023166", "--n", "2",
+          "--a", "0.3,0.1"]),
+        ("eval-z1-past-the-term-ceiling",
+         ["eval", "--z", "1,0", "--n", "2", "--a", "4e5,0"]),
         ("sweep-empty", ["sweep", "--abs-z", "0.2:0.8:0", "--arg-z", "0:1:2",
                          "--a-re", "0.5:0.5:1", "--a-im", "0:0:1", "--n", "2",
                          "--out", "-"]),

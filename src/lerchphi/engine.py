@@ -28,18 +28,17 @@ from typing import NamedTuple
 from .errors import (
     BeyondDoubleRange,
     DomainError,
-    PoleAtInteger,
     ToleranceNotMet,
 )
 from .quadrature import RayIntegrand, integrate_ray, pv_integrate_ray
 from .result import EvalResult, certify
 from .special_functions import (
+    MAX_TERMS,
     _cot_pi_laurent,
     _hurwitz_zeta_sum,
     _polylog_sum,
     _power_sum,
     cot_pi_taylor,
-    dist_to_nearest_integer,
     require_off_nonpositive_poles,
 )
 
@@ -70,9 +69,6 @@ _AXIS_RTOL = 1e-14
 # its cot pole into the tail term m = N; beyond it their cancellation,
 # about |b - N|^-n, no longer stalls the plain sum at tol 1e-10.
 _FOLD_RADIUS = 0.25
-
-# The integral's shift head and inverse's folded head: longer ones are refused
-_MAX_HEAD = 300_000
 
 # The integral route refuses z whose pole log z lies nearer than this to its
 # path [0, oo): next to the path a DE level sequence can contract early and
@@ -272,19 +268,16 @@ def phi_series(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult
     if r > 1.0 + 1e-12:
         raise DomainError(f"series route needs |z| <= 1, got |z| = {r:.6g}")
     on_circle = r > 1.0 - 1e-12
-    if on_circle and n == 1:
-        raise DomainError("series on |z| = 1 needs n >= 2")
     if on_circle and abs(z - 1.0) <= 1e-12:
+        if n == 1:
+            raise DomainError("singular stratum z=1, n=1")
         value, err, terms = _hurwitz_zeta_sum(n, a)
         # pick up the (tiny) difference between z and 1 exactly on the band
         err += abs(z - 1.0) * 40.0
         return certify(value, err, "series", terms, tol)
-
-    # the work cap grows with |a|, which a sum may need to pass (|a/2|: abs
-    # raises where |a| is beyond the double range)
-    cap = max(10_000 if on_circle else 300_000,
-              int(min(4.0 * abs(0.5 * a), 1e15)) + 12)
-    value, bound, m = _power_sum(z, a, 1, n, 0, cap, tol, tol)
+    if on_circle and n == 1:
+        raise DomainError("series on |z| = 1 needs n >= 2")
+    value, bound, m = _power_sum(z, a, 1, n, 0, MAX_TERMS, tol, tol)
     if not cmath.isfinite(value):  # a term next to a pole is beyond it
         raise BeyondDoubleRange(f"Phi({z}, {n}, {a}) is beyond the double range")
     return certify(value, bound, "series", m, tol)
@@ -317,8 +310,8 @@ def phi_integral(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResu
                 f"distance {clearance:.3g}"
             )
     k = max(0, math.ceil(1.0 - a.real))
-    if k > _MAX_HEAD:  # the head is a fixed count of k terms
-        raise DomainError(f"integral route shifts a at most {_MAX_HEAD}, got {a}")
+    if k > MAX_TERMS:  # the head is a fixed count of k terms
+        raise DomainError(f"integral route shifts a at most {MAX_TERMS}, got {a}")
     b = a + k
 
     if n == 1:
@@ -364,8 +357,7 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
             "principal-value route needs z in the open unit disc cut along "
             f"the negative real axis, got z = {z}"
         )
-    if dist_to_nearest_integer(a) <= 1e-12:
-        raise PoleAtInteger(f"trigonometric term has a pole at integer a = {a}")
+    coeffs = cot_pi_taylor(n - 1, a)  # before the quadrature: a pole raises
     t0 = -cmath.log(z)
     phi_angle = cmath.phase(t0)
     if (a - 1).real >= 0:
@@ -437,8 +429,8 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
         pv, stall = pv_integrate_ray(ray, t0, fold, tol, tail=tail), None
     except ToleranceNotMet as exc:
         pv, stall = exc.result, exc
-    trig, rounding = _trig_side(*_cot_term(n, t0, cot_pi_taylor(n - 1, a)),
-                                math.pi, n, a * t0)
+    trig, rounding = _trig_side(*_cot_term(n, t0, coeffs), math.pi, n,
+                                a * t0)
     value = (-1.0) ** (n - 1) * (pv.value / g + trig)
     if not cmath.isfinite(trig) or (stall is None and not cmath.isfinite(value)):
         raise BeyondDoubleRange(
@@ -469,7 +461,7 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
     tail term m = N, which cancel, are summed as one: w^-b _fold_side(n,
     log w, b - N, sgn(phi)).  The tail meets the absolute target tol/2, as
     the first term may cancel most of it; the estimate adds that term's
-    rounding.  A folded head longer than _MAX_HEAD terms is refused."""
+    rounding.  A folded head longer than MAX_TERMS terms is refused."""
     return _inverse(w, n, b, tol, "inverse")
 
 
@@ -495,10 +487,6 @@ def _inverse(w, n, b, tol, method):
 
     winv = 1.0 / w
     rho = abs(winv)
-    # effectively on the circle: fixed-term fallback with an explicit
-    # remainder bound, reported honestly (no useful convergence rate there)
-    cap = max(10_000 if rho > 1.0 - 1e-5 else 300_000,
-              int(min(2.0 * abs(0.5 * b), 1e15)) + 16)
     # Folded, the sum over m != N is a fixed head m < J and, where J = N,
     # the tail from N + 1 ((-1)^n w^-N Li_n(1/w) at b = N, closed-form at
     # n = 1).  As |b - m| >= 1 - |b - N|, the terms from J on are at most
@@ -508,9 +496,9 @@ def _inverse(w, n, b, tol, method):
         log_rest = -math.log1p(-rho) - n * math.log1p(-abs(b - N))
         J = min(N, max(1, math.ceil((math.log(0.5 * tol) - log_rest)
                                     / math.log(rho))))
-    if J - 1 > _MAX_HEAD:  # so also where |w| < 1 and w^-N is beyond range
+    if J - 1 > MAX_TERMS:  # so also where |w| < 1 and w^-N is beyond range
         raise DomainError(f"inverse-argument expansion sums a head of at most "
-                          f"{_MAX_HEAD} terms, got w = {w}, b = {b}")
+                          f"{MAX_TERMS} terms, got w = {w}, b = {b}")
     if fold and J < N:
         tail, bound, terms = 0j, math.exp(J * math.log(rho) + log_rest), 0
     elif fold and b == N:
@@ -518,7 +506,7 @@ def _inverse(w, n, b, tol, method):
         scale = (-1.0) ** n * w ** -N
         tail, bound = scale * tail, abs(scale) * bound
     else:
-        tail, bound, j = _power_sum(winv, b, -1, n, start, cap + 1,
+        tail, bound, j = _power_sum(winv, b, -1, n, start, start + MAX_TERMS,
                                     0.5 * tol, 0.0)
         terms = j - start
     value = trig - tail
@@ -552,8 +540,6 @@ def symmetry_transform(z: complex, n: int, a: complex):
             "symmetry relation undefined for z on [0, oo): sgn(phi) = 0 "
             "(excluded segments (0,1), {1}, (1, oo))"
         )
-    if dist_to_nearest_integer(a) <= 1e-12:
-        raise PoleAtInteger(f"symmetry relation has poles at integer a = {a}")
     t0 = -cmath.log(z)
     sgn = 1 if cmath.phase(t0) > 0 else -1
     cot, size = _cot_term(n, t0, cot_pi_taylor(n - 1, a, -sgn * 1j))
@@ -591,7 +577,7 @@ class _Row(NamedTuple):
 _ROUTE_TABLE = {
     Region.INSIDE_DISC: _Row(("series", "integral")),
     Region.BAND: _Row(("integral", "series", "inverse")),
-    Region.ONE: _Row(("series",), "singular stratum z=1, n=1"),
+    Region.ONE: _Row(("series",)),
     Region.NEAR_ONE: _Row(
         (), f"z = {{z}} within {_CIRCLE_BAND:g} of the singular point z = 1"),
     Region.EXTERIOR: _Row(("inverse", "integral")),

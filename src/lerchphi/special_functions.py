@@ -36,7 +36,6 @@ __all__ = [
     "polylog",
     "hurwitz_zeta",
     "polygamma",
-    "dist_to_nearest_integer",
 ]
 
 # Refusal radius around the poles a = 0, -1, -2, ... shared by every route.
@@ -59,12 +58,6 @@ _REAL = attrgetter("real")
 _IMAG = attrgetter("imag")
 
 
-def dist_to_nearest_integer(a: complex) -> float:
-    """Distance from complex a to the nearest point of the integer lattice on R."""
-    a = complex(a)
-    return abs(a - round(a.real))
-
-
 def require_off_nonpositive_poles(a: complex) -> None:
     """Reject a within POLE_GUARD of 0, -1, -2, ... (a genuine pole of order n)."""
     a = complex(a)
@@ -78,14 +71,18 @@ def require_off_nonpositive_poles(a: complex) -> None:
 # ---------------------------------------------------------------------------
 # Exactly rounded power sums
 
+# The one term ceiling of every power sum and fixed-count head
+MAX_TERMS = 300_000
+
+
 def _first_below(g0: float, log_rho: float, p: int, h: float,
                  top: float) -> float:
     """A step count in [0, top] at or below the root of the convex,
-    decreasing G(m) = g0 + m log_rho - p log(1 + m/h), or top where
-    G(top) > 0.  Newton's method from an upper bound of the root, where the
-    log or the linear term alone reaches 0: a tangent of a convex function
-    lies below it, so every step lands at or below the root; it stops once
-    a step is under half an index."""
+    decreasing G(m) = g0 + m log_rho - p log(1 + m/h), or one above top
+    where G(top) > 0.  Newton's method from an upper bound of the root,
+    where the log or the linear term alone reaches 0, cut to top: a tangent
+    of a convex function lies below it, so every step lands at or below the
+    root; it stops once a step is under half an index."""
     m = h * expm1(g0 / p) if g0 < 700.0 * p else inf
     if log_rho < 0.0 and g0 < m * -log_rho:
         m = g0 / -log_rho
@@ -94,7 +91,7 @@ def _first_below(g0: float, log_rho: float, p: int, h: float,
         step = (g0 + m * log_rho - p * log1p(m / h)) / (p / (h + m) - log_rho)
         m += step
         if -0.5 < step < 0.5 or m <= 0.0 or m >= top:
-            return 0.0 if m <= 0.0 else top if m >= top else m
+            return m if m > 0.0 else 0.0
 
 
 def _power_sum(x: complex, c: complex, sign: int, n: int, k: int, cap: int,
@@ -120,8 +117,11 @@ def _power_sum(x: complex, c: complex, sign: int, n: int, k: int, cap: int,
     (n + 3) 2^-53 sum_{i<j} |t_i|.  The sum stops at the first j >= k where
     the bound meets the target max(t_abs, t_rel |S_j|), S_j the running sum
     of the terms below j, and either the whole estimate does or the bound is
-    at most the rounding term, as more terms cannot halve the estimate; or
-    at j = cap.
+    at most the rounding term, as more terms cannot halve the estimate.  It
+    stalls at j = cap, or at once at a failed check from which the bound
+    cannot meet the target by cap: where its prediction (below) lies past
+    cap, and where the bound is infinite on the circle and its second part
+    cannot hold by cap (n = 1, or u <= 1 at cap).
 
     The bound is checked only where it can first meet the target.  From a
     failed check at j the next is at the first index whose bound can be
@@ -196,31 +196,39 @@ def _power_sum(x: complex, c: complex, sign: int, n: int, k: int, cap: int,
             stop = j + 1  # the rounding term, not the bound, is above goal
             continue
         if bound == inf:  # on the circle, or a term beyond the double range
-            stop = (min(cap, max(j + 1, floor(2.0 - shift)))
-                    if n > 1 or log_b < inf else cap)
-            continue
-        # the first index whose bound can meet the largest target the
-        # partial sums can reach; the margin covers the logs' rounding
-        reach = t_rel * (s_abs + bound)
-        log_reach = log(reach if reach > goal else goal) + 1e-9
-        m = float(cap - j)
-        if rho < 1.0:  # the first part's lower bound
-            g0, m0, d = log_first - log_reach, 0, h
-            if u < 0.0 and g0 > ceil(-u) * -log_rho and ceil(-u) < m:
-                # D stays h up to the first step m0 with u + m0 >= 0
-                m0 = ceil(-u)
-                d = hypot(u + m0, c_im)
-                g0 += m0 * log_rho - n * log(d / h)
-            m = m0 + _first_below(g0, log_rho, n, d, m - m0)
-        if h < limit:  # the second part, from the first step where it holds
-            g = u - 1.0
-            start = 0 if g > 0.0 else floor(-g) + 1
-            if start < m:
-                g += start
-                m = start + _first_below(
-                    (j + start) * log_rho + log_alg - (n - 1) * log(g)
-                    - log_reach, log_rho, n - 1, g, m - start)
-        stop = j + ceil(m - 1e-6) if m > 1.0 else j + 1
+            # on to the first index with u > 1, where the second part holds;
+            # inside the disc the first part can come down by the cap
+            stop = min(cap, max(j + 1, floor(2.0 - shift)))
+            if rho < 1.0 or n > 1 and cap + shift > 1.0:
+                continue
+        else:
+            # the first index whose bound can meet the largest target the
+            # partial sums can reach; the margin covers the logs' rounding
+            reach = t_rel * (s_abs + bound)
+            log_reach = log(reach if reach > goal else goal) + 1e-9
+            top, m = float(cap - j), inf
+            if rho < 1.0:  # the first part's lower bound
+                g0, m0, d = log_first - log_reach, 0, h
+                if u < 0.0 and g0 > ceil(-u) * -log_rho and ceil(-u) < top:
+                    # D stays h up to the first step m0 with u + m0 >= 0
+                    m0 = ceil(-u)
+                    d = hypot(u + m0, c_im)
+                    g0 += m0 * log_rho - n * log(d / h)
+                m = m0 + _first_below(g0, log_rho, n, d, top - m0)
+            if h < limit:  # the second part, from the first step it holds
+                g = u - 1.0
+                start = 0 if g > 0.0 else floor(-g) + 1
+                if start <= min(m, top):
+                    g += start
+                    m = min(m, start + _first_below(
+                        (j + start) * log_rho + log_alg - (n - 1) * log(g)
+                        - log_reach, log_rho, n - 1, g, min(m, top) - start))
+            if m <= top:
+                stop = j + ceil(m - 1e-6) if m > 1.0 else j + 1
+                continue
+        # the bound cannot meet the target by the cap: a stall, at once
+        rounding = (n + 3) * 2.0**-53 * _abs_sum(terms)
+        break
     value = _fsum(terms)
     if value != value:  # a NaN term, whose inf rounding term let j stop at
         # the first check where the bound met the goal
@@ -407,7 +415,7 @@ def cot_pi_taylor(m: int, a: complex, shift: complex = 0j) -> list[complex]:
     if m < 0:
         raise ValueError("derivative order must be >= 0")
     a = complex(a)
-    if abs(a - round(a.real)) <= 1e-12:  # dist_to_nearest_integer(a)
+    if abs(a - round(a.real)) <= 1e-12:
         raise PoleAtInteger(f"cot(pi a) derivative requested at a = {a} (integer pole)")
     e = list(_cot_pi_seed(a))
     for j in range(1, m):
@@ -444,17 +452,16 @@ def cot_pi_derivative(j: int, a: complex) -> complex:
 def _polylog_sum(n: int, x: complex, tol: float):
     """Direct summation of Li_n(x); returns (value, err_bound, terms).
 
-    |x| < 1 uses the geometric tail bound; on the unit circle (x != 1) the
-    sum is capped at 10^4 terms with an integral-comparison remainder, so the
-    returned bound can exceed tol (callers report it honestly).
+    At most MAX_TERMS terms: on the unit circle (x != 1), where the bound
+    is the integral comparison alone, a sum that cannot meet tol by then
+    stalls at once, and the returned bound exceeds tol (callers report it).
     """
     x = complex(x)
     if n == 1:
         # 1 - x rounds by up to 2^-53, and its log by 4e-16 of itself
         log1x = cmath.log(1.0 - x)
         return -log1x, 4e-16 * abs(log1x) + 2.0**-53, 1
-    cap = 300_000 if abs(x) < 1.0 else 10_000
-    value, bound, j = _power_sum(x, 0.0, 1, n, 1, cap + 1, tol, tol)
+    value, bound, j = _power_sum(x, 0.0, 1, n, 1, MAX_TERMS + 1, tol, tol)
     return value, bound, j - 1
 
 
@@ -485,11 +492,15 @@ def _hurwitz_zeta_sum(n: int, a: complex):
     Returns (value, err_estimate, terms).  Uses M = max(20, ceil|a| + 20)
     explicit terms and four Bernoulli corrections; the estimate is the fifth
     correction plus the explicit terms' rounding, as _power_sum gives it.
+    M above MAX_TERMS is refused with DomainError.
     """
     if n < 2:
         raise DomainError("hurwitz_zeta needs integer order n >= 2")
     a = complex(a)
     require_off_nonpositive_poles(a)
+    if abs(0.5 * a) > 0.5 * (MAX_TERMS - 20):  # abs(a) can overflow
+        raise DomainError(f"hurwitz_zeta sums ceil|a| + 20 terms, at most "
+                          f"{MAX_TERMS}; got a = {a}")
     m_terms = max(20, math.ceil(abs(a)) + 20)
     head, rounding, _ = _power_sum(1.0, a, 1, n, 0, m_terms, 0.0, 0.0)
     x = a + m_terms

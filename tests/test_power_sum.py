@@ -11,18 +11,20 @@ import cmath
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from lerchphi.engine import phi, phi_integer_a, phi_inverse, phi_series
-from lerchphi.errors import LerchError, ToleranceNotMet
+from lerchphi.errors import DomainError, LerchError, ToleranceNotMet
 from lerchphi.special_functions import (
     _hurwitz_zeta_sum,
     _polylog_sum,
     _power_sum,
     hurwitz_zeta,
+    polygamma,
 )
 from oracles import lerch_reference, shifted_integral
 
@@ -105,23 +107,26 @@ def tail_bound(x, c, sign, n, j):
 
 
 def first_stop(x, c, sign, n, k, cap, t_abs, t_rel):
-    """The kernel's stop rule with its estimate evaluated at every index:
-    the first j >= k where the bound meets max(t_abs, t_rel |S_j|) and
-    either the bound plus the rounding term (n + 3) 2^-53 sum |t| does or
-    the bound is at most the rounding term, with exactly rounded sums; or
-    cap."""
+    """The kernel's stop rule with its estimate evaluated at every index
+    from k to cap: the first j where the bound meets max(t_abs, t_rel |S_j|)
+    and either the bound plus the rounding term (n + 3) 2^-53 sum |t| does
+    or the bound is at most the rounding term, with exactly rounded sums
+    (exact running sums, rounded once, as math.fsum is); None where no
+    index does."""
     gamma = (n + 3) * 2.0**-53
+    re = im = size = Fraction(0)
     terms = terms_of(x, c, sign, n, k, cap)
-    for j in range(k, cap):
-        kept = terms[:j - k]
-        size = abs(complex(math.fsum(t.real for t in kept),
-                           math.fsum(t.imag for t in kept)))
+    for j in range(k, cap + 1):
         bound = tail_bound(x, c, sign, n, j)
-        rounding = gamma * math.fsum(abs(t) for t in kept)
-        goal = max(t_abs, t_rel * size)
+        rounding = gamma * float(size)
+        goal = max(t_abs, t_rel * abs(complex(float(re), float(im))))
         if bound <= goal and (bound + rounding <= goal or bound <= rounding):
             return j
-    return cap
+        if j < cap:
+            t = terms[j - k]
+            re, im = re + Fraction(t.real), im + Fraction(t.imag)
+            size += Fraction(abs(t))
+    return None
 
 
 def plane_shapes(test):
@@ -139,6 +144,23 @@ def plane_shapes(test):
                    c_im=0.1, tol=1e-10, count=1)(test)
 
 
+def circle_shapes(test):
+    """An @example for the shapes whose sums can stall before the cap: on
+    the circle (|x| = 1 exactly at theta = 0.7) and next to it, n = 1 on
+    it, and a Re c so far below 0 on it that the bound's second part
+    starts late (|Re c| = 2000) or past the cap (5000); at n = 4 the same
+    sums meet tol within the cap."""
+    for shape, n, rho in itertools.product(
+            sorted(SHAPES), (1, 2, 4), (1.0, 1.0 - 1e-6)):
+        test = example(shape=shape, n=n, rho=rho, theta=0.7, c_re=0.3,
+                       c_im=0.1, tol=1e-10, count=1)(test)
+    for (shape, sign), n, far in itertools.product(
+            (("series", -1), ("inverse", 1)), (2, 4), (2000.3, 5000.3)):
+        test = example(shape=shape, n=n, rho=1.0, theta=0.7, c_re=sign * far,
+                       c_im=0.1, tol=1e-10, count=1)(test)
+    return test
+
+
 @given(
     shape=st.sampled_from(sorted(SHAPES) + ["fixed"]),
     n=st.integers(min_value=1, max_value=8),
@@ -151,11 +173,13 @@ def plane_shapes(test):
 )
 @settings(max_examples=60, deadline=None)
 @plane_shapes
+@circle_shapes
 def test_stop_rule_and_exact_sum(shape, n, rho, theta, c_re, c_im, tol,
                                  count):
-    """The kernel stops where a bound check at every index would, and its
-    value is the math.fsum of the terms it kept; a fixed-count call (no
-    target) sums exactly count terms."""
+    """The kernel stops where a bound check at every index would, with the
+    estimate there, and its value is the math.fsum of the terms it kept; it
+    stalls before the cap only where no index up to the cap passes that
+    check; a fixed-count call (no target) sums exactly count terms."""
     c = 0j if shape == "polylog" else complex(c_re, c_im)
     x = rho * cmath.exp(1j * theta)
     if shape == "fixed":
@@ -166,14 +190,21 @@ def test_stop_rule_and_exact_sum(shape, n, rho, theta, c_re, c_im, tol,
         t_abs, t_rel = (0.5 * tol, 0.0) if shape == "inverse" else (tol, tol)
     # the terms must stay finite: c + sign*i off zero
     assume(shape == "polylog" or abs(c - round(c.real)) > 1e-3)
-    value, _, j = _power_sum(x, c, sign, n, k, cap, t_abs, t_rel)
-    if shape == "fixed":
-        assert j == cap
-    else:
-        assert j == first_stop(x, c, sign, n, k, cap, t_abs, t_rel)
+    value, estimate, j = _power_sum(x, c, sign, n, k, cap, t_abs, t_rel)
     terms = terms_of(x, c, sign, n, k, j)
     assert value == complex(math.fsum(t.real for t in terms),
                             math.fsum(t.imag for t in terms))
+    if shape == "fixed":
+        assert j == cap
+        return
+    want = first_stop(x, c, sign, n, k, cap, t_abs, t_rel)
+    if want is None:  # a stall, at the cap or before it
+        assert k <= j <= cap
+        return
+    assert j == want
+    rounding = (n + 3) * 2.0**-53 * math.fsum(abs(t) for t in terms)
+    assert estimate == pytest.approx(
+        tail_bound(x, c, sign, n, j) + rounding, rel=1e-9, abs=1e-300)
 
 
 def disc_points(count):
@@ -370,3 +401,36 @@ def test_terms_whose_squares_overflow(shape, n, c):
     value, rounding, _ = _power_sum(0.5, c, sign, n, k, 40, 0.0, 0.0)
     assert abs(value - want) <= 1e-14 * abs(want) + 1e-323
     assert rounding < 1e-300
+
+
+def test_sum_whose_bound_cannot_start_by_the_cap_stalls_at_once():
+    # on the circle the bound holds only from u = j + Re c > 1 on, here
+    # from j = 1e200: the sum stalls at its first check, where it summed
+    # to the cap
+    value, estimate, j = _power_sum(1j, -1e200 + 1e200j, 1, 2, 0, 2000,
+                                    1e-10, 1e-10)
+    assert j <= 1
+    assert estimate == math.inf
+
+
+def test_series_next_to_the_circle_stalls_at_once():
+    # |z| = 1 - 2e-6: the bound meets tol only after about 1e10 terms, so
+    # the series stalls at its first check, where it summed 300,000 terms
+    # (0.2 s) before the integral certified the point
+    z = 0.999998 * cmath.exp(0.7j)
+    with pytest.raises(ToleranceNotMet) as info:
+        phi_series(z, 2, 0.3 + 0.1j)
+    assert info.value.result.terms_or_nodes <= 2
+    assert phi(z, 2, 0.3 + 0.1j).method == "integral"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: phi(1.0, 2, 4e5),
+    lambda: hurwitz_zeta(2, 4e5),
+    lambda: polygamma(1, 4e5),
+], ids=["phi", "hurwitz_zeta", "polygamma"])
+def test_hurwitz_head_beyond_the_ceiling_is_refused(call):
+    # the explicit sum has ceil|a| + 20 terms, 400,020 here, past the
+    # ceiling; at a = 5e7 its list of terms alone needs about 2 GB
+    with pytest.raises(DomainError, match="hurwitz_zeta sums"):
+        call()
