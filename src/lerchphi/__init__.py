@@ -1,10 +1,10 @@
 """Lerch transcendent Phi(z, n, a) for positive integer order n.
 
-Five cross-validating evaluation routes (series, exponential-kernel
-integral, principal-value ray representation, inverse-argument expansion
-and its integer-shift entry), the region classifier whose Region picks the
-dispatcher's routes, and residual checks for the symmetry relation and the
-surrounding identity web.
+Four cross-validating evaluation routes (series, exponential-kernel
+integral, principal-value ray representation and inverse-argument
+expansion; phi_integer_a is another name for phi_inverse), the region
+classifier whose Region picks the dispatcher's routes, and residual checks
+for the symmetry relation and the surrounding identity web.
 """
 
 from .engine import (

@@ -418,11 +418,18 @@ def _build_parser(default_tol: float) -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
-    default_tol = float(os.environ.get("LERCH_TOL", "1e-10"))
-    parser = _build_parser(default_tol)
+def _default_tol() -> float:
+    """LERCH_TOL, else 1e-10; a usage error where it is not a number."""
+    text = os.environ.get("LERCH_TOL", "1e-10")
     try:
-        args = parser.parse_args(argv)
+        return float(text)
+    except ValueError:
+        raise _UsageError(f"LERCH_TOL must be a number, got {text!r}") from None
+
+
+def main(argv=None) -> int:
+    try:
+        args = _build_parser(_default_tol()).parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

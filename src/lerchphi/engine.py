@@ -1,11 +1,11 @@
 """Evaluation routes for Phi(z, n, a) with positive integer order n.
 
-Five routes cover the z-plane: the defining power series inside the unit
+Four routes cover the z-plane: the defining power series inside the unit
 disc, the exponential-kernel integral, shifted to Re a >= 1 by
 Phi(z, n, a) = sum_{m<k} z^m/(a+m)^n + z^k Phi(z, n, a+k), wherever its pole
 log z keeps clear of the path [0, oo), the principal-value ray
 representation inside the cut disc, and the inverse-argument expansion
-outside the circle, also served as integer-a next to an integer shift.  All
+outside the circle, which folds its cot pole next to an integer shift.  All
 powers use the principal logarithm, arg in (-pi, pi], which is what makes
 the sign of phi = arg(-ln z) meaningful.  The dispatcher phi tries the
 routes of the row of _ROUTE_TABLE that classify(z) picks, and returns a
@@ -127,17 +127,6 @@ def _on_positive_real_axis(z: complex) -> bool:
 
 def _is_real(z: complex) -> bool:
     return abs(z.imag) <= _AXIS_RTOL * abs(z)
-
-
-def _exterior_log(w: complex, route: str):
-    """(log w, sgn(phi)) for the routes in powers of 1/w."""
-    if abs(w) <= 1.0 - 1e-12 or _on_positive_real_axis(w):
-        raise DomainError(
-            f"{route} needs |w| > 1 off the positive real axis, where "
-            f"sgn(phi) = 0; got w = {w}"
-        )
-    log_w = cmath.log(w)
-    return log_w, 1 if cmath.phase(log_w) > 0 else -1
 
 
 def _quadrature_scale(n: int, route: str) -> float:
@@ -462,24 +451,16 @@ def phi_inverse(w: complex, n: int, b: complex, tol: float = 1e-10) -> EvalResul
     log w, b - N, sgn(phi)).  The tail meets the absolute target tol/2, as
     the first term may cancel most of it; the estimate adds that term's
     rounding.  A folded head longer than MAX_TERMS terms is refused."""
-    return _inverse(w, n, b, tol, "inverse")
-
-
-def phi_integer_a(w: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
-    """phi_inverse tagged integer-a, for a within _FOLD_RADIUS of an integer
-    N >= 1: at a = N the Laurent finite part plus (-1)^n w^-N Li_n(1/w)."""
-    return _inverse(w, n, a, tol, "integer-a")
-
-
-def _inverse(w, n, b, tol, method):
-    """phi_inverse, certified under the tag method."""
     w, b = _validate(w, n, b, tol)
-    log_w, sgn = _exterior_log(w, "inverse-argument expansion")
+    if abs(w) <= 1.0 - 1e-12 or _on_positive_real_axis(w):
+        raise DomainError(
+            f"inverse-argument expansion needs |w| > 1 off the positive real "
+            f"axis, where sgn(phi) = 0; got w = {w}"
+        )
+    log_w = cmath.log(w)
+    sgn = 1 if cmath.phase(log_w) > 0 else -1
     N = round(b.real)
     fold = N >= 1 and abs(b - N) <= _FOLD_RADIUS
-    if method == "integer-a" and not fold:
-        raise DomainError(f"integer-a needs a within {_FOLD_RADIUS:g} of an "
-                          f"integer N >= 1, got a = {b}")
     cot, size = (_fold_side(n, log_w, b - N, sgn) if fold else
                  _cot_term(n, log_w, cot_pi_taylor(n - 1, -b, -sgn * 1j)))
     trig, trig_err = _trig_side(cot, size, 1.0 if fold else -math.pi, n,
@@ -518,7 +499,11 @@ def _inverse(w, n, b, tol, method):
                                 f"range (inverse-argument expansion: value "
                                 f"{value})")
     # on the circle with n = 1 the tail bound is infinite: a stall
-    return certify(value, bound + trig_err, method, terms, tol)
+    return certify(value, bound + trig_err, "inverse", terms, tol)
+
+
+# the former integer-shift route's public name, which perfbench calls
+phi_integer_a = phi_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -635,5 +620,4 @@ ROUTES = {
     "integral": lambda z, n, a, tol: phi_integral(z, n, a, tol),
     "pv": lambda z, n, a, tol: phi_pv(z, n, a, tol),
     "inverse": lambda z, n, a, tol: phi_inverse(z, n, a, tol),
-    "integer-a": lambda z, n, a, tol: phi_integer_a(z, n, a, tol),
 }

@@ -92,6 +92,18 @@ class TestEval:
         tight_terms = json.loads(out)["terms_or_nodes"]
         assert loose_terms < tight_terms
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--z", "0.5,0", "--n", "2", "--a", "0.5,0"),
+        ("check", "--suite", "reflections", "--grid", "1"),
+    ], ids=["eval", "check"])
+    def test_env_tolerance_not_a_number_is_usage_error(self, capsys,
+                                                       monkeypatch, argv):
+        monkeypatch.setenv("LERCH_TOL", "abc")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == "" and err.startswith("usage error:")
+        assert "LERCH_TOL" in err
+
 
 class TestCompare:
     def test_three_methods_inside_disc(self, capsys):
@@ -178,7 +190,6 @@ ROUTE_POINTS = {
     "integral": (0.5j, 3, 0.4 + 0.2j),
     "pv": (0.5 + 0j, 1, 0.5 + 0j),
     "inverse": (2j, 2, 0.25 + 0j),
-    "integer-a": (2j, 2, 2 + 0j),
 }
 
 
@@ -199,7 +210,7 @@ class TestRoutes:
         (("--z", "0.5,0", "--n", "1", "--a", "0.5,0"),
          ["series", "integral", "pv"]),
         (("--z", "0,2", "--n", "2", "--a", "2,0"),
-         ["integral", "inverse", "integer-a"]),
+         ["integral", "inverse"]),
     ])
     def test_compare_lists_routes_in_table_order(self, capsys, argv, methods):
         code, out, _ = run(capsys, "compare", *argv, "--format", "json")
@@ -207,13 +218,13 @@ class TestRoutes:
         names = [row["method"] for row in json.loads(out)["methods"]]
         assert names == methods
 
-    # a shift 5e-9 off the integer 2: the forced integer-shift route sums
-    # the folded expansion at a itself, with no substitution of a = 2
+    # a shift 5e-9 off the integer 2: the forced inverse route sums the
+    # folded expansion at a itself, with no substitution of a = 2
     NEAR_INTEGER = ("--z", "0,2", "--n", "2", "--a", "2.000000005,0")
 
     def test_forced_integer_shift_estimate_covers_error(self, capsys):
         code, out, _ = run(capsys, "eval", *self.NEAR_INTEGER,
-                           "--method", "integer-a", "--format", "json")
+                           "--method", "inverse", "--format", "json")
         assert code == 0
         rec = json.loads(out)
         value = complex(rec["value"]["re"], rec["value"]["im"])
@@ -222,6 +233,13 @@ class TestRoutes:
     def test_compare_near_integer_shift(self, capsys):
         code, _, _ = run(capsys, "compare", *self.NEAR_INTEGER)
         assert code == 0
+
+    def test_retired_integer_a_method_is_a_usage_error(self, capsys):
+        # the inverse route serves integer shifts; integer-a is no route
+        code, out, err = run(capsys, "eval", "--z", "0,2", "--n", "2",
+                             "--a", "2,0", "--method", "integer-a")
+        assert code == 1
+        assert out == "" and err.startswith("usage error:")
 
     def test_forced_route_stall_prints_its_own_result(self, capsys):
         z, n, a = 0.9j, 6, 0.02 + 0.3j

@@ -1,4 +1,4 @@
-"""Tests for the five evaluation routes, classifier, and dispatcher."""
+"""Tests for the four evaluation routes, classifier, and dispatcher."""
 
 import cmath
 import math
@@ -573,7 +573,6 @@ class TestRouteContract:
         "integral": (0.5j, 3, 0.4 + 0.2j),
         "pv": (0.5, 1, 0.5),
         "inverse": (2j, 2, 0.25),
-        "integer-a": (2j, 2, 2),
     }
 
     @pytest.mark.parametrize("bad", [
@@ -590,6 +589,16 @@ class TestRouteContract:
         point = {"z": z, "a": a, "tol": 1e-10, **bad}
         with pytest.raises(DomainError, match="finite"):
             ROUTES[name](point["z"], n, point["a"], point["tol"])
+
+    def test_routes_are_the_four_representations(self):
+        assert tuple(ROUTES) == ("series", "integral", "pv", "inverse")
+
+    def test_integer_a_is_the_inverse_route(self):
+        # the inverse expansion folds an integer shift itself; the former
+        # integer-a route's name stays, for the same function
+        res = phi_integer_a(2j, 2, 2)
+        assert res == phi_inverse(2j, 2, 2)
+        assert res.method == "inverse"
 
     def test_polylog_raises_with_a_result(self):
         with pytest.raises(ToleranceNotMet) as info:

@@ -1,5 +1,6 @@
-"""The README's CLI examples exit 0, its Python quick start runs, and its
-table of the routes phi tries is engine._ROUTE_TABLE."""
+"""The README's CLI examples exit 0, its Python quick start runs, its
+table of the routes phi tries is engine._ROUTE_TABLE, and its route table
+and CLI methods name engine.ROUTES."""
 
 import ast
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from lerchphi import cli
-from lerchphi.engine import _ROUTE_TABLE, Region
+from lerchphi.engine import ROUTES, _ROUTE_TABLE, Region
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -64,3 +65,19 @@ def test_readme_route_table_is_the_engine_table():
         rows[Region[region.strip("`")]] = tuple(
             re.findall(r"`([a-z-]+)`", tries))
     assert rows == {region: row.routes for region, row in _ROUTE_TABLE.items()}
+
+
+def test_readme_evaluation_routes_are_engine_routes():
+    """The method column of the README's "Evaluation routes" table names
+    engine.ROUTES, in order."""
+    table = re.search(r"## Evaluation routes\n\n(.*?)\n\n",
+                      README.read_text(), re.S).group(1)
+    methods = [re.match(r"\| `([a-z-]+)`", line).group(1)
+               for line in table.splitlines()[2:]]
+    assert methods == list(ROUTES)
+
+
+def test_readme_cli_methods_are_engine_routes():
+    """The CLI block's `(methods: ...)` comment is auto, then engine.ROUTES."""
+    methods = re.search(r"\(methods: ([a-z|-]+)\)", README.read_text()).group(1)
+    assert methods.split("|") == ["auto", *ROUTES]
