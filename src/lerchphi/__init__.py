@@ -42,8 +42,6 @@ from .quadrature import RayIntegrand, integrate_ray, pv_integrate_ray
 from .result import EvalResult
 from .special_functions import (
     bernoulli,
-    cot_pi,
-    cot_pi_derivative,
     cot_pi_taylor,
     hurwitz_zeta,
     polygamma,

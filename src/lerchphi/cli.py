@@ -254,8 +254,9 @@ def _check_theorem1(rng, grid, tol):
         count += 1
         n = 1 + count % 3
         # a stalled route fails its record through its carried value
-        v_pv = engine.degrade(engine.phi_pv, z, n, a, pv_tol).value
-        v_series = engine.degrade(engine.phi_series, z, n, a, series_tol).value
+        v_pv = engine.degrade(engine.ROUTES["pv"], z, n, a, pv_tol).value
+        v_series = engine.degrade(engine.ROUTES["series"], z, n, a,
+                                  series_tol).value
         yield _record("theorem1", _point(z=z, n=n, a=a),
                       abs(v_pv - v_series), gate)
 

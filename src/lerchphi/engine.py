@@ -40,6 +40,7 @@ from .special_functions import (
     _power_sum,
     cot_pi_taylor,
     require_off_nonpositive_poles,
+    require_order,
 )
 
 __all__ = [
@@ -98,13 +99,8 @@ class LerchQuery(NamedTuple("LerchQuery", [("z", complex), ("n", int),
     __slots__ = ()
 
     def __new__(cls, z, n, a):
-        _validate_order(n)
+        require_order(n)
         return super().__new__(cls, complex(z), n, complex(a))
-
-
-def _validate_order(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"order must be a positive integer, got {n!r}")
 
 
 def _validate(z, n, a, tol):
@@ -112,7 +108,7 @@ def _validate(z, n, a, tol):
     finite, 0 < tol < inf and a is off the poles 0, -1, -2, ...: the entry
     check of phi and every route."""
     z, a = complex(z), complex(a)
-    _validate_order(n)
+    require_order(n)
     if not (cmath.isfinite(z) and cmath.isfinite(a) and 0.0 < tol < math.inf):
         raise DomainError(
             f"phi needs finite z and a and a finite tol > 0, got z = {z}, "
@@ -519,7 +515,9 @@ def symmetry_transform(z: complex, n: int, a: complex):
     off (1, oo); negative real z uses the principal branch (arg z = pi).
     """
     z, a = complex(z), complex(a)
-    _validate_order(n)
+    require_order(n)
+    if not (cmath.isfinite(z) and cmath.isfinite(a)):
+        raise DomainError(f"symmetry relation needs finite z, a: {z}, {a}")
     if z == 0 or _on_positive_real_axis(z):
         raise DomainError(
             "symmetry relation undefined for z on [0, oo): sgn(phi) = 0 "
@@ -536,7 +534,7 @@ def extended_polylog(z: complex, n: int, a: complex, tol: float = 1e-10) -> Eval
     """Extended polylogarithm Li_n(z, a) = z * Phi(z, n, a)."""
     z = complex(z)
     if z == 0:
-        _validate_order(n)
+        require_order(n)
         return EvalResult(0j, 0.0, "extended-polylog", 0)
     res = phi(z, n, a, tol)
     return EvalResult(z * res.value, abs(z) * res.err_estimate, res.method,

@@ -4,9 +4,10 @@ Exact Bernoulli numbers, the Taylor coefficients of cot(pi (a + eps)) from
 one float recurrence and the Laurent coefficients of cot(pi eps) from
 zeta(2k) live next to the floating-point summations (polylogarithm,
 Hurwitz zeta, polygamma) so that the identity checks can pit independent
-computations against each other.  Every power sum, here and in the routes,
-runs through the one kernel _power_sum, which returns the exactly rounded
-math.fsum of its terms.
+computations against each other.  cot_pi_taylor is the one interface to
+the cot side; d^j cot(pi a) is j! times its coefficient e_j.  Every power
+sum, here and in the routes, runs through the one kernel _power_sum, which
+returns the exactly rounded math.fsum of its terms.
 """
 
 from __future__ import annotations
@@ -29,10 +30,7 @@ from .result import certify
 __all__ = [
     "bernoulli",
     "tan_series_coeff",
-    "cot_pi",
     "cot_pi_taylor",
-    "cot_pi_derivative",
-    "cot_pi_derivatives",
     "polylog",
     "hurwitz_zeta",
     "polygamma",
@@ -58,10 +56,21 @@ _REAL = attrgetter("real")
 _IMAG = attrgetter("imag")
 
 
+def require_order(n, low: int = 1, what: str = "order") -> None:
+    """DomainError unless n is an int, not a bool, of at least low: the one
+    order check of phi, LerchQuery and the public special functions."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < low:
+        raise DomainError(f"{what} must be an integer >= {low}, got {n!r}")
+
+
 def require_off_nonpositive_poles(a: complex) -> None:
-    """Reject a within POLE_GUARD of 0, -1, -2, ... (a genuine pole of order n)."""
+    """Reject a within POLE_GUARD of 0, -1, -2, ... (a genuine pole of order
+    n), and a with a real part that is not finite."""
     a = complex(a)
-    k = round(a.real)
+    try:
+        k = round(a.real)
+    except (OverflowError, ValueError):
+        raise DomainError(f"a = {a} is not finite") from None
     if k <= 0 and abs(a - k) <= POLE_GUARD:
         raise PoleAtNonPositiveInteger(
             f"a = {a} is within {POLE_GUARD:g} of the pole at {k}"
@@ -334,8 +343,7 @@ def _grow_bernoulli_cache(n: int) -> None:
 
 def bernoulli(k: int) -> Fraction:
     """Exact Bernoulli number B_k (convention B_1 = -1/2)."""
-    if k < 0:
-        raise ValueError("Bernoulli index must be >= 0")
+    require_order(k, 0, "Bernoulli index")
     if k >= len(_bernoulli_cache):
         _grow_bernoulli_cache(k + 16)
     return _bernoulli_cache[k]
@@ -344,8 +352,7 @@ def bernoulli(k: int) -> Fraction:
 def tan_series_coeff(n: int) -> Fraction:
     """Exact coefficient of alpha^(2n-1) in the tangent Maclaurin series:
     2^(2n) (2^(2n) - 1) |B_{2n}| / (2n)!."""
-    if n < 1:
-        raise ValueError("tangent-series index must be >= 1")
+    require_order(n, 1, "tangent-series index")
     p = 2 ** (2 * n)
     return p * (p - 1) * abs(bernoulli(2 * n)) / factorial(2 * n)
 
@@ -375,17 +382,15 @@ def _cot_pi_laurent(order: int) -> list[float]:
 # ---------------------------------------------------------------------------
 # Taylor coefficients of cot(pi (a + eps))
 
-def _cot_pi_seed(a: complex) -> tuple[complex, complex]:
+def _cot_pi_seed(ar: complex) -> tuple[complex, complex]:
     """(cot(pi a), -pi / sin^2(pi a)), the first two Taylor coefficients,
-    from sin and cos of the reduced ar = a - round(Re a) below
+    from sin and cos of the reduced ar = a - round(Re a), off 0, below
     _Q_EXPANSION_IM, and from the q-expansion above it: with
     q = e^(2 pi i ar) and u = q / (1 - q), Im ar > 0,
 
         cot(pi a) = -i (1 + 2u),  1 / sin^2(pi a) = -4u (1 + u);
 
     Im ar < 0 is the conjugate."""
-    a = complex(a)
-    ar = a - round(a.real)
     if abs(ar.imag) >= _Q_EXPANSION_IM:
         flip = ar.imag < 0
         q = cmath.exp(_TWO_PI_I * (ar.conjugate() if flip else ar))
@@ -394,14 +399,7 @@ def _cot_pi_seed(a: complex) -> tuple[complex, complex]:
         e1 = 4.0 * math.pi * u * (1.0 + u)
         return (e0.conjugate(), e1.conjugate()) if flip else (e0, e1)
     s = cmath.sin(math.pi * ar)
-    if s == 0:
-        raise PoleAtInteger(f"cot(pi a) pole at a = {a}")
     return cmath.cos(math.pi * ar) / s, -math.pi / (s * s)
-
-
-def cot_pi(a: complex) -> complex:
-    """cot(pi a) for complex a, with argument reduction a -> a - round(Re a)."""
-    return _cot_pi_seed(a)[0]
 
 
 def cot_pi_taylor(m: int, a: complex, shift: complex = 0j) -> list[complex]:
@@ -412,12 +410,17 @@ def cot_pi_taylor(m: int, a: complex, shift: complex = 0j) -> list[complex]:
     Im cot(pi a) has the sign of -Im a, so a shift of +-i with the sign of
     Im a cancels cot at large |Im a|; there e_0 is formed as
     (1 + cot^2) / (cot - shift) = -e_1 / (pi (cot - shift)), which does not."""
-    if m < 0:
-        raise ValueError("derivative order must be >= 0")
+    require_order(m, 0, "cot_pi_taylor order")
     a = complex(a)
-    if abs(a - round(a.real)) <= 1e-12:
+    try:
+        ar = a - round(a.real)
+    except (OverflowError, ValueError):
+        ar = complex(nan)
+    if ar != ar:  # Re a not finite, or Im a NaN
+        raise DomainError(f"cot(pi a) needs a finite a, got a = {a}")
+    if abs(ar) <= 1e-12:
         raise PoleAtInteger(f"cot(pi a) derivative requested at a = {a} (integer pole)")
-    e = list(_cot_pi_seed(a))
+    e = list(_cot_pi_seed(ar))
     for j in range(1, m):
         # the sum is symmetric in i <-> j - i: twice its lower half
         half = e[j // 2] * e[j // 2] if j % 2 == 0 else 0j
@@ -429,21 +432,6 @@ def cot_pi_taylor(m: int, a: complex, shift: complex = 0j) -> list[complex]:
         e[0] = (-e[1] / (math.pi * (e[0] - shift))
                 if a.imag * shift.imag > 0 else e[0] + shift)
     return e[:m + 1]
-
-
-def cot_pi_derivatives(jmax: int, a: complex) -> list[complex]:
-    """[d^j/da^j cot(pi a) for j = 0..jmax] = j! e_j of cot_pi_taylor."""
-    out = cot_pi_taylor(jmax, a)
-    fact = 1.0
-    for j in range(1, jmax + 1):
-        fact *= j
-        out[j] *= fact
-    return out
-
-
-def cot_pi_derivative(j: int, a: complex) -> complex:
-    """Value of d^j/da^j cot(pi a)."""
-    return cot_pi_derivatives(j, a)[j]
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +455,10 @@ def _polylog_sum(n: int, x: complex, tol: float):
 
 def polylog(n: int, x: complex, tol: float = 1e-12) -> complex:
     """Li_n(x) = sum_{k>=1} x^k / k^n for n >= 1, |x| <= 1."""
-    if n < 1:
-        raise DomainError("polylog order must be a positive integer")
+    require_order(n, 1, "polylog order")
     x = complex(x)
     r = abs(x)
-    if r > 1.0 + 1e-12:
+    if not r <= 1.0 + 1e-12:  # NaN fails too
         raise DomainError(f"polylog needs |x| <= 1, got |x| = {r}")
     if n == 1 and abs(x - 1.0) <= 1e-14:
         raise DivergentAtOne("Li_1(1) diverges")
@@ -494,11 +481,10 @@ def _hurwitz_zeta_sum(n: int, a: complex):
     correction plus the explicit terms' rounding, as _power_sum gives it.
     M above MAX_TERMS is refused with DomainError.
     """
-    if n < 2:
-        raise DomainError("hurwitz_zeta needs integer order n >= 2")
+    require_order(n, 2, "hurwitz_zeta order")
     a = complex(a)
     require_off_nonpositive_poles(a)
-    if abs(0.5 * a) > 0.5 * (MAX_TERMS - 20):  # abs(a) can overflow
+    if not abs(0.5 * a) <= 0.5 * (MAX_TERMS - 20):  # no overflow; NaN fails
         raise DomainError(f"hurwitz_zeta sums ceil|a| + 20 terms, at most "
                           f"{MAX_TERMS}; got a = {a}")
     m_terms = max(20, math.ceil(abs(a)) + 20)
@@ -529,8 +515,7 @@ def polygamma(m: int, a: complex) -> complex:
     where that is beyond the double range.  m! enters as a float mantissa
     times a power of two, so the product is formed even where m! alone is
     beyond the double range."""
-    if m < 1:
-        raise DomainError("polygamma implemented for m >= 1 only")
+    require_order(m, 1, "polygamma order m")
     fact = factorial(m)
     shift = max(0, fact.bit_length() - 64)
     value = (-1) ** (m + 1) * float(fact >> shift) * hurwitz_zeta(m + 1, a)

@@ -16,6 +16,7 @@ from lerchphi.identities import (
     residual_shift,
     residual_symmetry,
 )
+from lerchphi.special_functions import hurwitz_zeta
 
 
 class TestShift:
@@ -102,6 +103,15 @@ class TestHurwitzReflection:
 
     def test_complex_shift(self):
         assert residual_hurwitz_reflection(2, 0.3 + 0.2j) <= 1e-9
+
+    @pytest.mark.parametrize("n", [140, 150, 172, 200, 400])
+    @pytest.mark.parametrize("a", [0.3 + 0.1j, 5.5 + 0.1j, 0.75 - 0.4j])
+    def test_large_order(self, n, a):
+        # the cot side is read as a Taylor coefficient, with no (n-1)! to
+        # multiply and divide by: finite wherever zeta(n, a) is, far past
+        # the order n = 171 where (n-1)! leaves the double range
+        scale = abs(hurwitz_zeta(n, a)) + abs(hurwitz_zeta(n, 1.0 - a))
+        assert residual_hurwitz_reflection(n, a) <= 1e-12 * scale
 
 
 class TestPolygammaReflection:

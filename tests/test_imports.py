@@ -1,8 +1,13 @@
-"""Start-up cost: importing the package loads no heavy standard module."""
+"""Importing the package: its start-up cost loads no heavy standard module,
+and every name a module exports exists."""
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import lerchphi
 
@@ -29,3 +34,16 @@ def test_import_loads_no_heavy_module():
     added = set(out.split())
     assert "lerchphi.cli" in added
     assert not added & set(HEAVY), sorted(added & set(HEAVY))
+
+
+# every module but __main__, which runs the CLI on import
+MODULES = sorted(m.name for m in pkgutil.iter_modules(lerchphi.__path__)
+                 if not m.name.startswith("__"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exist(name):
+    # a name left in __all__ after its function is removed fails import *
+    module = importlib.import_module(f"lerchphi.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, missing

@@ -1,4 +1,5 @@
-"""Tests for Bernoulli machinery, cot derivatives, polylog, zeta, polygamma."""
+"""Tests for Bernoulli machinery, cot Taylor coefficients, polylog, zeta,
+polygamma."""
 
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 import scipy.special
 from hypothesis import example, given, settings, strategies as st
 
+from lerchphi.engine import symmetry_transform
 from lerchphi.errors import (
     DivergentAtOne,
     DomainError,
@@ -19,9 +21,6 @@ from lerchphi.special_functions import (
     _BERNOULLI_2K,
     _cot_pi_laurent,
     bernoulli,
-    cot_pi,
-    cot_pi_derivative,
-    cot_pi_derivatives,
     cot_pi_taylor,
     hurwitz_zeta,
     polygamma,
@@ -104,45 +103,51 @@ class TestTanSeries:
 
 
 class TestCotPiDerivative:
+    # e_j of cot_pi_taylor is d^j cot(pi a) / j!
     def test_value_at_half(self):
-        assert abs(cot_pi_derivative(0, 0.5)) < 1e-15
+        assert abs(cot_pi_taylor(0, 0.5)[0]) < 1e-15
 
     def test_first_derivative_at_half(self):
-        assert abs(cot_pi_derivative(1, 0.5) - (-math.pi)) < 1e-12
+        assert abs(cot_pi_taylor(1, 0.5)[1] - (-math.pi)) < 1e-12
 
     def test_second_derivative_against_finite_differences(self):
         # oracle: central second differences of cot(pi a) with one Richardson
-        # step; h = 1e-3 balances rounding (eps/h^2) against truncation
+        # step; h = 1e-3 balances rounding (eps/h^2) against truncation.
+        # The second difference is 2 e_2.
         a, h = 0.25, 1e-3
 
+        def cot(t):
+            return cot_pi_taylor(0, t)[0]
+
         def second(hh):
-            return (cot_pi(a + hh) - 2 * cot_pi(a) + cot_pi(a - hh)) / hh**2
+            return (cot(a + hh) - 2 * cot(a) + cot(a - hh)) / hh**2
 
         fd = (4 * second(h / 2) - second(h)) / 3
-        assert abs(cot_pi_derivative(2, a) - fd) < 1e-8
+        assert abs(cot_pi_taylor(2, a)[2] - fd / 2) < 0.5e-8
 
     def test_pole_guard(self):
         with pytest.raises(PoleAtInteger):
-            cot_pi_derivative(1, 1.0)
+            cot_pi_taylor(1, 1.0)
         with pytest.raises(PoleAtInteger):
-            cot_pi_derivative(0, 3.0 + 1e-13j)
+            cot_pi_taylor(0, 3.0 + 1e-13j)
 
     def test_argument_reduction_large_real_part(self):
-        assert abs(cot_pi_derivative(1, 100.25) - cot_pi_derivative(1, 0.25)) < 1e-9
+        assert abs(cot_pi_taylor(1, 100.25)[1] - cot_pi_taylor(1, 0.25)[1]) < 1e-9
 
     def test_large_imaginary_part_does_not_overflow(self):
         # sin(pi a) overflows double beyond |Im a| ~ 226
-        assert cot_pi(0.3 + 300j) == -1j
-        assert cot_pi(0.3 - 300j) == 1j
-        assert cot_pi_derivatives(5, 0.3 + 300j)[1:] == [0j] * 5
+        assert cot_pi_taylor(0, 0.3 + 300j) == [-1j]
+        assert cot_pi_taylor(0, 0.3 - 300j) == [1j]
+        assert cot_pi_taylor(5, 0.3 + 300j)[1:] == [0j] * 5
 
 
-def _cot_derivatives_mp(jmax, a):
-    """d^j cot(pi a), j = 0..jmax, by mpmath differentiation; the precision
-    grows with |Im a| because the derivatives fall like e^(-2 pi |Im a|)."""
-    with mpmath.workdps(30 + int(3 * abs(a.imag))):
-        f = lambda t: mpmath.cot(mpmath.pi * t)  # noqa: E731
-        return [complex(d) for d in mpmath.diffs(f, mpmath.mpc(a), jmax)]
+def _cot_taylor_mp(jmax, a, dps=30):
+    """e_j, j = 0..jmax, the Taylor coefficients of cot(pi (a + eps)), by
+    mpmath; the precision grows with |Im a| because the coefficients fall
+    like e^(-2 pi |Im a|)."""
+    with mpmath.workdps(dps + int(3 * abs(a.imag))):
+        return [complex(c) for c in mpmath.taylor(
+            lambda t: mpmath.cot(mpmath.pi * t), mpmath.mpc(a), jmax)]
 
 
 _COT_GRID = [complex(x, y)
@@ -159,10 +164,10 @@ def test_cot_derivatives_against_mpmath():
     # j <= 7, both half planes (the reference for Im a < 0 by conjugation:
     # cot is real on the real axis)
     for a in _COT_GRID:
-        ref = _cot_derivatives_mp(7, a)
-        assert _max_rel_err(cot_pi_derivatives(7, a), ref) <= 1e-13, a
+        ref = _cot_taylor_mp(7, a)
+        assert _max_rel_err(cot_pi_taylor(7, a), ref) <= 1e-13, a
         conj = [r.conjugate() for r in ref]
-        assert _max_rel_err(cot_pi_derivatives(7, a.conjugate()), conj) <= 1e-13, a
+        assert _max_rel_err(cot_pi_taylor(7, a.conjugate()), conj) <= 1e-13, a
 
 
 @pytest.mark.parametrize("a", [1e-3, 0.026 - 0.0024j, -0.97 + 0.0004j,
@@ -170,9 +175,7 @@ def test_cot_derivatives_against_mpmath():
 def test_cot_taylor_at_high_order(a):
     # the recurrence to j = 31, near an integer (where e_j grows like
     # 1/dist^(j+1)) and off the axis, against mpmath's Taylor coefficients
-    with mpmath.workdps(40 + int(3 * abs(complex(a).imag))):
-        ref = [complex(c) for c in mpmath.taylor(
-            lambda t: mpmath.cot(mpmath.pi * t), mpmath.mpc(a), 31)]
+    ref = _cot_taylor_mp(31, complex(a), dps=40)
     assert _max_rel_err(cot_pi_taylor(31, a), ref) <= 1e-14
 
 
@@ -234,18 +237,20 @@ def _cot_poly_coeffs(j):
 def test_cot_derivative_antisymmetry(a, j):
     # d^j cot at 1-a equals (-1)^(j+1) times the value at a, to 1e-12
     # relative to the polynomial evaluation scale, plus the error that
-    # rounding a and 1 - a leaves: d^(j+1) cot(pi a) times (1 + |a|) eps
+    # rounding a and 1 - a leaves: d^(j+1) cot(pi a) times (1 + |a|) eps;
+    # so does e_j = d^j cot / j!, with the bound over j!
     if min(abs(a - round(a.real)), abs(1 - a - round(1 - a.real))) < 1e-3:
         return
-    lhs = cot_pi_derivative(j, 1 - a)
-    rhs = (-1) ** (j + 1) * cot_pi_derivative(j, a)
-    c = cot_pi(a)
+    lhs = cot_pi_taylor(j, 1 - a)[j]
+    e = cot_pi_taylor(j + 1, a)
+    rhs = (-1) ** (j + 1) * e[j]
     scale = math.pi**j * sum(
-        abs(coef) * abs(c) ** k
+        abs(coef) * abs(e[0]) ** k
         for k, coef in enumerate(_cot_poly_coeffs(j))
     )
-    rounding = abs(cot_pi_derivative(j + 1, a)) * (1 + abs(a)) * 2.0**-52
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, scale) + 4 * rounding
+    rounding = math.factorial(j + 1) * abs(e[j + 1]) * (1 + abs(a)) * 2.0**-52
+    bound = 1e-12 * max(1.0, scale) + 4 * rounding
+    assert abs(lhs - rhs) <= bound / math.factorial(j)
 
 
 class TestPolylog:
@@ -334,7 +339,7 @@ class TestPolygamma:
         res = abs(
             polygamma(m, a)
             - (-1) ** m * polygamma(m, 1 - a)
-            + math.pi * cot_pi_derivative(m, a)
+            + math.pi * math.factorial(m) * cot_pi_taylor(m, a)[m]
         )
         assert res < 1e-9
 
@@ -352,3 +357,37 @@ class TestPolygamma:
         # 200! ~ 8e374, but 200! zeta(201, 5/2) ~ -8e294
         ref = complex(mpmath.polygamma(200, 2.5))
         assert abs(polygamma(200, 2.5) - ref) <= 1e-14 * abs(ref)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hurwitz_zeta(2, NAN),
+    lambda: hurwitz_zeta(2, INF),
+    lambda: hurwitz_zeta(2, complex(1.0, NAN)),
+    lambda: hurwitz_zeta(2.0, 0.5),
+    lambda: polygamma(1, NAN),
+    lambda: polygamma(1.0, 0.5),
+    lambda: cot_pi_taylor(2, NAN),
+    lambda: cot_pi_taylor(2, INF),
+    lambda: cot_pi_taylor(2, complex(0.3, NAN)),
+    lambda: cot_pi_taylor(2.0, 0.3),
+    lambda: symmetry_transform(0.5j, 2, NAN),
+    lambda: symmetry_transform(NAN, 2, 0.5),
+    lambda: symmetry_transform(complex(0.5, NAN), 2, 0.5),
+    lambda: polylog(2, NAN),
+    lambda: polylog(1.5, 0.5),
+    lambda: polylog(True, 0.5),
+    lambda: bernoulli(2.0),
+    lambda: tan_series_coeff(1.5),
+], ids=["zeta-nan-a", "zeta-inf-a", "zeta-nan-im-a", "zeta-float-order",
+        "polygamma-nan-a", "polygamma-float-order", "cot-nan-a", "cot-inf-a",
+        "cot-nan-im-a", "cot-float-order", "symmetry-nan-a", "symmetry-nan-z",
+        "symmetry-nan-im-z", "polylog-nan-x", "polylog-float-order",
+        "polylog-bool-order", "bernoulli-float-index", "tan-float-index"])
+def test_out_of_scope_input_raises_domain_error(call):
+    # not a bare ValueError, OverflowError or TypeError, nor a NaN value,
+    # nor a value at an order the functions do not define
+    with pytest.raises(DomainError):
+        call()
