@@ -78,6 +78,13 @@ LARGE_ORDER = {
                     "--method", "inverse"],
     # |Phi| is about 1e385, beyond the double range
     "n50-beyond-double-range": ["--z", "0,3", "--n", "50", "--a", "2e-8,0"],
+    # next to the integer shift 2 the fold's size bound 2/(1 - 0.25)^2600
+    # is beyond the double range; at a = 0.5 the cot coefficients overflow
+    # early in a recurrence of 10,000 steps
+    "n2600-fold-beyond-double-range": ["--z", "0,3", "--n", "2600",
+                                       "--a", "2.25,0"],
+    "n10000-cot-beyond-double-range": ["--z", "0,3", "--n", "10000",
+                                       "--a", "0.5,0"],
 }
 SUITES = ("symmetry", "recurrences", "reflections", "theorem1")
 

@@ -190,6 +190,9 @@ def _fold_side(n: int, L: complex, eps: complex, sgn: int):
         coeffs = [-math.pi * v for v in _cot_pi_laurent(n)[:n + 1]]
         coeffs[1] += math.pi * sgn * 1j
         return _cot_term(n + 1, L, coeffs)
+    if n * -math.log1p(-e) > 709.0:  # the sizes' bound below overflows
+        raise BeyondDoubleRange(f"inverse expansion: the folded side's bound "
+                                f"2/(1 - {e:.6g})^{n} is beyond the double range")
     # M terms of each r_i and K of phi_n: their terms then shrink by 1/2 a
     # step or more, and the rest is below 2^-53 of the sizes below
     h, M = 0.5 * e, 1
@@ -345,16 +348,14 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     coeffs = cot_pi_taylor(n - 1, a)  # before the quadrature: a pole raises
     t0 = -cmath.log(z)
     phi_angle = cmath.phase(t0)
-    if (a - 1).real >= 0:
+    a1 = a - 1.0
+    if a1.real >= 0:
         raise DomainError(f"needs Re(a - 1) < 0, got a = {a}")
-    decay = -((a - 1) * cmath.exp(1j * phi_angle)).real
-    if decay <= 0:
+    if (a1 * cmath.exp(1j * phi_angle)).real >= 0:
         raise DomainError(
             f"needs Re[(a - 1) e^(i phi)] < 0; violated at a = {a}, phi = "
             f"{phi_angle:.6g}"
         )
-
-    a1 = a - 1.0
 
     def integrand(t: complex) -> complex:
         # e^(a t) / (z e^t - 1) rewritten overflow-free as
@@ -405,13 +406,11 @@ def phi_pv(z: complex, n: int, a: complex, tol: float = 1e-10) -> EvalResult:
     # where (a - 1) e^(i psi) is real and negative.
     steepest = cmath.phase(-a1.conjugate())
     psi = min(max(steepest, min(phi_angle, 0.0)), max(phi_angle, 0.0))
-    ray = RayIntegrand(integrand, phi_angle, decay_rate=decay,
-                       growth_degree=n - 1, exponent_rate=abs(a1))
     tail = RayIntegrand(integrand, psi,
                         decay_rate=-(a1 * cmath.exp(1j * psi)).real,
                         growth_degree=n - 1)
     try:
-        pv, stall = pv_integrate_ray(ray, t0, fold, tol, tail=tail), None
+        pv, stall = pv_integrate_ray(t0, fold, tail, tol, abs(a1)), None
     except ToleranceNotMet as exc:
         pv, stall = exc.result, exc
     trig, rounding = _trig_side(*_cot_term(n, t0, coeffs), math.pi, n,
@@ -513,6 +512,7 @@ def symmetry_transform(z: complex, n: int, a: complex):
 
     Valid in the cut unit disc off (0, 1) and, by continuation, for |z| > 1
     off (1, oo); negative real z uses the principal branch (arg z = pi).
+    BeyondDoubleRange where the side is not finite, as in pv and inverse.
     """
     z, a = complex(z), complex(a)
     require_order(n)
@@ -527,6 +527,9 @@ def symmetry_transform(z: complex, n: int, a: complex):
     sgn = 1 if cmath.phase(t0) > 0 else -1
     cot, size = _cot_term(n, t0, cot_pi_taylor(n - 1, a, -sgn * 1j))
     trig, _ = _trig_side(cot, size, math.pi * (-1.0) ** (n - 1), n, a * t0)
+    if not cmath.isfinite(trig):
+        raise BeyondDoubleRange(f"the symmetry relation's side at ({z}, {n}, "
+                                f"{a}) is beyond the double range: {trig}")
     return LerchQuery(1.0 / z, n, 1.0 - a), trig
 
 

@@ -28,7 +28,7 @@ class BeyondDoubleRange(DomainError):
 
 
 class PoleOffRay(DomainError):
-    """Declared principal-value pole does not lie on the integration ray."""
+    """Principal-value pole off the open right half-plane, or not simple."""
 
 
 class ToleranceNotMet(LerchError):

@@ -10,9 +10,10 @@ the error of level L-1; a rule's error roughly squares with each halving,
 so once the contraction d_L/d_(L-1) is no slower than d_(L-1)/d_(L-2), the
 error of level L is estimated as d_L^2/d_(L-1) (Bailey, Jeyabalan & Li,
 Experimental Math. 14, 2005), and a piece stops a level sooner than d_L
-alone would allow.  A principal value with one simple on-ray pole t0 folds
-[0, 2 t0] about the pole; the caller supplies the fold, as only it can form
-f(t0 + v) + f(t0 - v) without cancellation.
+alone would allow.  A principal value runs along the ray through its one
+simple pole t0, so the pole fixes the ray, and folds [0, 2 t0] about the
+pole; the caller supplies the fold, as only it can form f(t0 + v) +
+f(t0 - v) without cancellation.
 
 The tail of a principal value, from 2 t0 to infinity, need not follow the
 pole's ray.  Where f is analytic in the wedge with apex 2 t0 between the
@@ -45,23 +46,18 @@ _MAX_NODES = 37_500
 
 class RayIntegrand:
     """Integrand on the ray arg(t) = ray_angle with |f(t)| <~ e^(-decay_rate |t|)
-    up to a polynomial factor |t|^growth_degree.  exponent_rate is |c| when
-    that decay comes from a factor e^(c t), whose value rounds with the
-    argument c t; a principal value counts it in its rounding floor."""
+    up to a polynomial factor |t|^growth_degree."""
 
-    __slots__ = ("evaluate", "ray_angle", "decay_rate", "growth_degree",
-                 "exponent_rate")
+    __slots__ = ("evaluate", "ray_angle", "decay_rate", "growth_degree")
 
     def __init__(self, evaluate: Callable[[complex], complex],
-                 ray_angle: float, decay_rate: float, growth_degree: int = 0,
-                 exponent_rate: float = 0.0):
+                 ray_angle: float, decay_rate: float, growth_degree: int = 0):
         if not -math.pi / 2 < ray_angle < math.pi / 2:
             raise DomainError("ray angle must lie in (-pi/2, pi/2)")
         if not decay_rate > 0:
             raise DomainError("decay rate must be positive")
-        self.evaluate, self.ray_angle, self.decay_rate = (
-            evaluate, ray_angle, decay_rate)
-        self.growth_degree, self.exponent_rate = growth_degree, exponent_rate
+        self.evaluate, self.ray_angle, self.decay_rate, self.growth_degree = (
+            evaluate, ray_angle, decay_rate, growth_degree)
 
 
 def _node(tanh_sinh: bool, x: float):
@@ -218,11 +214,11 @@ def integrate_ray(f: RayIntegrand, tol: float) -> EvalResult:
     return _de_sum((_exp_sinh(f, 0j),), tol, "ray", _rounding(f.growth_degree))
 
 
-def pv_integrate_ray(f: RayIntegrand, pole: complex,
-                     fold: Callable[[float], complex], tol: float, *,
-                     tail: RayIntegrand) -> EvalResult:
-    """Cauchy principal value with one simple pole t0 = u0 e^(i phi) on the
-    ray arg t = phi = f.ray_angle.
+def pv_integrate_ray(pole: complex, fold: Callable[[float], complex],
+                     tail: RayIntegrand, tol: float,
+                     exponent_rate: float = 0.0) -> EvalResult:
+    """Cauchy principal value of f along the ray arg t = phi through its one
+    simple pole t0 = u0 e^(i phi); PoleOffRay unless Re t0 > 0.
 
     fold(u) must return (f(t0 + u e^(i phi)) + f(t0 - u e^(i phi))) e^(i phi),
     which is regular at u -> 0 for a simple pole; then
@@ -232,17 +228,15 @@ def pv_integrate_ray(f: RayIntegrand, pole: complex,
     The caller's duty: tail.evaluate is f, analytic in the closed wedge with
     apex 2 t0 between the rays arg = phi and arg = tail.ray_angle, and it
     decays across that wedge, so that by Cauchy's theorem the tail along
-    either ray is the same.  tail = f (the pole's own ray) always qualifies.
-    Both pieces reach |t| = 2 |t0|, so f.exponent_rate 2 |t0| joins the
-    rounding floor.
+    either ray is the same; a tail along the pole's ray always qualifies.
+    exponent_rate is |c| where f's decay comes from a factor e^(c t), whose
+    value rounds with c t; both pieces reach |t| = 2 |t0|, so exponent_rate
+    2 |t0| joins the rounding floor.
     """
     t0 = complex(pole)
-    proj = t0 * cmath.exp(-1j * f.ray_angle)
-    if abs(proj.imag) > 1e-10 * max(1.0, abs(proj)) or proj.real <= 0:
-        raise PoleOffRay(
-            f"pole {t0} does not lie on the ray arg(t) = {f.ray_angle:.6g}"
-        )
-    u0 = proj.real
+    if not t0.real > 0:
+        raise PoleOffRay(f"pole {t0} is not in the open right half-plane")
+    u0 = (t0 * cmath.exp(-1j * cmath.phase(t0))).real
 
     # Regularity guard: a simple on-ray pole folds to a bounded integrand.
     delta = min(u0 / 2.0, 1.0)
@@ -251,7 +245,6 @@ def pv_integrate_ray(f: RayIntegrand, pole: complex,
             "folded integrand blows up at the declared pole; "
             "pole location or order is wrong"
         )
-    rounding = _rounding(max(f.growth_degree, tail.growth_degree),
-                         2.0 * abs(t0) * f.exponent_rate)
+    rounding = _rounding(tail.growth_degree, 2.0 * abs(t0) * exponent_rate)
     return _de_sum(((True, fold, 0.0, u0), _exp_sinh(tail, 2.0 * t0)), tol,
                    "pv-ray", rounding)

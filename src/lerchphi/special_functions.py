@@ -409,7 +409,8 @@ def cot_pi_taylor(m: int, a: complex, shift: complex = 0j) -> list[complex]:
     (j + 1) e_(j+1) = -pi sum_{i=0..j} e_i e_(j-i) for j >= 1, in floats.
     Im cot(pi a) has the sign of -Im a, so a shift of +-i with the sign of
     Im a cancels cot at large |Im a|; there e_0 is formed as
-    (1 + cot^2) / (cot - shift) = -e_1 / (pi (cot - shift)), which does not."""
+    (1 + cot^2) / (cot - shift) = -e_1 / (pi (cot - shift)), which does not.
+    From the first non-finite e_j on, which spoils the rest, it is repeated."""
     require_order(m, 0, "cot_pi_taylor order")
     a = complex(a)
     try:
@@ -422,6 +423,9 @@ def cot_pi_taylor(m: int, a: complex, shift: complex = 0j) -> list[complex]:
         raise PoleAtInteger(f"cot(pi a) derivative requested at a = {a} (integer pole)")
     e = list(_cot_pi_seed(ar))
     for j in range(1, m):
+        if not cmath.isfinite(e[j]):
+            e += [e[j]] * (m - j)
+            break
         # the sum is symmetric in i <-> j - i: twice its lower half
         half = e[j // 2] * e[j // 2] if j % 2 == 0 else 0j
         acc = 0j

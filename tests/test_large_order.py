@@ -8,6 +8,9 @@ w off [1, oo).
 import builtins
 import cmath
 import math
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -101,6 +104,28 @@ def test_trig_term_at_large_order_returns_or_refuses(call):
         call()
     except LerchError:
         pass
+
+
+@pytest.mark.parametrize("call", [
+    "engine.phi(3j, 6000, 2.25)",
+    "engine.phi(3j, 2600, 2.25)",
+    "engine.phi(3j, 8000, 2.1)",
+    "engine.phi(3j, 30000, 0.5)",
+    "engine.symmetry_transform(0.5j, 3000, 0.3)",
+])
+def test_order_beyond_the_double_range_raises(call):
+    # next to an integer shift the fold's loop bound overflowed and its loop
+    # never ended (n = 6000), or a size term divided by an underflowed 0 and
+    # leaked ZeroDivisionError; the cot recurrence went on for O(n^2) steps
+    # past its first overflow (n = 30000); the symmetry side came out NaN.
+    # The call runs in its own process, whose timeout catches a hang only
+    code = ("from lerchphi import engine\n"
+            f"try:\n    {call}\n"
+            "except Exception as exc:\n    print(type(exc).__name__)")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, env={"PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "BeyondDoubleRange", out
 
 
 @pytest.mark.parametrize("n", (50, 200))

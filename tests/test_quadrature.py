@@ -24,9 +24,8 @@ def real_ray(fun, decay, growth=0):
 
 
 def pv_real_ray(fun, decay, pole, fold, tol):
-    """pv_integrate_ray on the real ray, its tail on that ray too."""
-    ray = real_ray(fun, decay)
-    return pv_integrate_ray(ray, pole, fold, tol, tail=ray)
+    """pv_integrate_ray with its tail on the real ray."""
+    return pv_integrate_ray(pole, fold, real_ray(fun, decay), tol)
 
 
 class TestIntegrateRay:
@@ -132,8 +131,8 @@ class TestPrincipalValue:
         fun = lambda t: cmath.exp((a - 1) * t) / (z - cmath.exp(-t))
         tail = RayIntegrand(fun, tail_angle,
                             decay_rate=(1 - a) * math.cos(tail_angle))
-        res = pv_integrate_ray(real_ray(fun, 1 - a), -math.log(z),
-                               lerch_kernel_fold(z, a), 1e-10, tail=tail)
+        res = pv_integrate_ray(-math.log(z), lerch_kernel_fold(z, a), tail,
+                               1e-10)
         phi_ref = sum(z**m / (m + a) for m in range(200))
         expected = phi_ref - math.pi * z ** (-a) / math.tan(math.pi * a)
         assert abs(res.value - expected) < 1e-9
@@ -163,10 +162,13 @@ class TestPrincipalValue:
         dummy = pv_real_ray(fun, 2.0, 9.0, fold, 1e-11)
         assert abs(plain.value - dummy.value) < 2e-11
 
-    def test_pole_off_ray_rejected(self):
-        fun = lambda t: 1.0 / (t - 1j)
+    @pytest.mark.parametrize("pole", [1j, -1.0, 0.0])
+    def test_pole_off_ray_rejected(self, pole):
+        # the ray runs through the pole: a pole off the open right
+        # half-plane has no ray into it
+        fun = lambda t: 1.0 / (t - pole)
         with pytest.raises(PoleOffRay):
-            pv_real_ray(fun, 1.0, 1j, lambda u: 0j, 1e-8)
+            pv_real_ray(fun, 1.0, pole, lambda u: 0j, 1e-8)
 
     def test_misdeclared_pole_location_fails_honestly(self):
         # true pole at 1, declared at 2: the fold keeps the pole at u = 1,
